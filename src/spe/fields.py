@@ -7,6 +7,7 @@ as zero beyond L.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,9 +44,12 @@ class Grid:
     def node_count(self) -> int:
         return self.cell_count + 1
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.length, self.cell_count + 1)
+        """The node coordinates, computed once per grid and read-only."""
+        x = np.linspace(0.0, self.length, self.cell_count + 1)
+        x.setflags(write=False)
+        return x
 
 
 def make_uniform_grid(length: float, cell_count: int) -> Grid:

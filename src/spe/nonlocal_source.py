@@ -24,9 +24,17 @@ __all__ = [
 ]
 
 
-def _running_trapezoid(values: np.ndarray, dx: float) -> np.ndarray:
-    out = np.zeros_like(values)
-    np.cumsum(0.5 * dx * (values[:-1] + values[1:]), out=out[1:])
+def _running_trapezoid(
+    values: np.ndarray, dx: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Running trapezoid of ``values`` from 0, written into ``out`` (allocated
+    when None); ``out`` must not alias ``values``."""
+    if out is None:
+        out = np.empty_like(values)
+    out[0] = 0.0
+    np.add(values[:-1], values[1:], out=out[1:])
+    out[1:] *= 0.5 * dx
+    np.cumsum(out[1:], out=out[1:])
     return out
 
 

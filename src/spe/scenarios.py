@@ -166,19 +166,70 @@ def _validate_admissibility(u0: Field, g: BoundaryData) -> list:
     return violations
 
 
+#: required top-level keys; for each JSON-object block, its required keys
+REQUIRED_KEYS = ("name", "grid", "time", "epsilon", "initial", "boundary")
+BLOCK_KEYS = {"grid": ("L", "n"), "time": ("T",), "initial": (), "boundary": (),
+              "physical": ("k", "c2")}
+NUMBER_KEYS = (("grid", "L"), ("grid", "n"), ("time", "T"), ("time", "cfl_safety"),
+               ("physical", "k"), ("physical", "c2"), (None, "epsilon"))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _schema_violations(doc) -> list:
+    """Every structural violation of a scenario document: the top level and
+    each block (and preset ``params``) must be JSON objects with their
+    required keys, and the grid, time, viscosity and physical values must be
+    numbers."""
+    if not isinstance(doc, dict):
+        return [f"the scenario must be a JSON object, got {type(doc).__name__}"]
+    violations = [f"missing required key '{key}'" for key in REQUIRED_KEYS
+                  if key not in doc]
+    blocks = {}
+    for block, keys in BLOCK_KEYS.items():
+        sub = doc.get(block)
+        if block not in doc or (sub is None and block not in REQUIRED_KEYS):
+            continue  # absent, or an optional block set to null
+        if not isinstance(sub, dict):
+            violations.append(
+                f"'{block}' must be a JSON object, got {type(sub).__name__}")
+            continue
+        blocks[block] = sub
+        violations += [f"missing required key '{block}.{key}'" for key in keys
+                       if key not in sub]
+    for block, key in NUMBER_KEYS:
+        holder = doc if block is None else blocks.get(block, {})
+        where = key if block is None else f"{block}.{key}"
+        if key in holder and not _is_number(holder[key]):
+            violations.append(f"'{where}' must be a number, got {holder[key]!r}")
+    for block in ("initial", "boundary"):
+        params = blocks.get(block, {}).get("params", {})
+        if not isinstance(params, dict):
+            violations.append(f"'{block}.params' must be a JSON object, got {params!r}")
+    snapshots = blocks.get("time", {}).get("snapshots", [])
+    if not (isinstance(snapshots, list) and all(_is_number(s) for s in snapshots)):
+        violations.append(
+            f"'time.snapshots' must be a list of numbers, got {snapshots!r}")
+    return violations
+
+
 def parse_scenario(doc: dict, *, source: str = "<memory>") -> ScenarioSpec:
-    """Resolve and validate a scenario document (see the JSON schema in README)."""
-    try:
-        name = doc["name"]
-        grid_doc = doc["grid"]
-        time_doc = doc["time"]
-        epsilon = doc["epsilon"]
-        initial_doc = doc["initial"]
-        boundary_doc = doc["boundary"]
-    except KeyError as exc:
-        raise DataValidationError(
-            [f"scenario {source}: missing required key {exc}"]
-        ) from None
+    """Resolve and validate a scenario document (see the JSON schema in README).
+
+    Structural violations (see ``_schema_violations``) are all reported in
+    one ``DataValidationError`` before anything is built.
+    """
+    violations = _schema_violations(doc)
+    if violations:
+        raise DataValidationError([f"scenario {source}: {v}" for v in violations])
+    name = doc["name"]
+    grid_doc = doc["grid"]
+    time_doc = doc["time"]
+    epsilon = doc["epsilon"]
+    initial_doc = doc["initial"]
+    boundary_doc = doc["boundary"]
 
     grid = make_uniform_grid(float(grid_doc["L"]), int(grid_doc["n"]))
     config = SolverConfig(

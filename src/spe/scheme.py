@@ -23,28 +23,36 @@ on the zero-mean manifold that the half-line theory lives on:
 Advection uses first-order left-biased upwinding on the conservative flux
 u^3 (the characteristic speed 3u^2 is never negative, so information always
 enters from the boundary side).  Diffusion is integrated implicitly
-(backward Euler, tridiagonal solve) in the default IMEX mode and explicitly
-in the fully-explicit mode.
+(backward Euler; the tridiagonal matrix is symmetric positive definite and
+is solved by LAPACK ``dptsv``) in the default IMEX mode and explicitly in
+the fully-explicit mode.
+
+``run`` advances a ``Workspace``: the current u and P plus scratch arrays,
+allocated once per run, that ``step`` overwrites in place.  ``Field`` and
+``State`` objects are built only for the initial datum and at snapshot
+landings.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dptsv
 
 from .errors import BlowUpError, DataValidationError
 from .fields import Field, Grid, lp_norm, mean
-from .nonlocal_source import cumulative_primitive
+from .nonlocal_source import _running_trapezoid, cumulative_primitive
 
 __all__ = [
     "BoundaryData",
     "SolverConfig",
     "State",
     "Trajectory",
+    "Workspace",
     "mollify_data",
     "stable_dt",
     "upwind_flux_divergence",
@@ -170,13 +178,16 @@ def _one_sided_gradient(values: np.ndarray, dx: float) -> float:
     return float((-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dx))
 
 
-def _grad_sq(values: np.ndarray, dx: float) -> float:
-    # centered differences interiorly, one-sided three-point at both ends
-    gr = np.empty_like(values)
-    gr[1:-1] = (values[2:] - values[:-2]) / (2.0 * dx)
+def _grad_sq(values: np.ndarray, dx: float, scratch: np.ndarray) -> float:
+    # centered differences interiorly, one-sided three-point at both ends;
+    # ``scratch`` (same length as ``values``) is overwritten
+    gr = scratch
+    np.subtract(values[2:], values[:-2], out=gr[1:-1])
+    gr[1:-1] /= 2.0 * dx
     gr[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dx)
     gr[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dx)
-    return _trapz(gr * gr, dx)
+    np.multiply(gr, gr, out=gr)
+    return _trapz(gr, dx)
 
 
 def mollify_data(
@@ -230,19 +241,43 @@ def mollify_data(
     return u_out, BoundaryData(g=smoothed_g, sup_bound=g.sup_bound)
 
 
+def _cfl_dt(u: np.ndarray, t: float, config: SolverConfig) -> float:
+    dx = config.grid.dx
+    # max(u^2) without a temporary; a Python float overflows to inf silently
+    peak = max(float(u.max()), -float(u.min()))
+    speed = max(3.0 * (peak * peak), SPEED_FLOOR)
+    if not math.isfinite(speed):
+        raise BlowUpError(
+            t, f"characteristic speed 3 max u^2 is not finite at t={t:.6g}")
+    dt = config.cfl_safety * dx / speed
+    if config.scheme == "explicit" and config.eps > 0.0:
+        dt = min(dt, config.cfl_safety * dx * dx / (2.0 * config.eps))
+    remaining = config.final_time - t
+    return float(min(dt, remaining))
+
+
 def stable_dt(state: State, config: SolverConfig) -> float:
     """CFL-limited time step, capped at the time remaining to final_time.
 
     Advective limit dx / max(3u^2, floor); the explicit scheme adds the
     diffusive limit dx^2 / (2 eps).  Both carry the cfl_safety factor.
+    Raises ``BlowUpError`` when the speed 3 max u^2 overflows.
     """
-    dx = config.grid.dx
-    speed = max(3.0 * float(np.max(state.u.values ** 2)), SPEED_FLOOR)
-    dt = config.cfl_safety * dx / speed
-    if config.scheme == "explicit" and config.eps > 0.0:
-        dt = min(dt, config.cfl_safety * dx * dx / (2.0 * config.eps))
-    remaining = config.final_time - state.t
-    return float(min(dt, remaining))
+    return _cfl_dt(state.u.values, state.t, config)
+
+
+def _upwind_divergence(
+    u: np.ndarray, dx: float, out: np.ndarray, flux: np.ndarray
+) -> np.ndarray:
+    # (f_i - f_{i-1}) / dx with f = u^3 into ``out``, 0 at node 0;
+    # ``flux`` is overwritten.  u*u*u is exact to an ulp and far cheaper
+    # than u**3 (a pow call per node).
+    np.multiply(u, u, out=flux)
+    flux *= u
+    out[0] = 0.0
+    np.subtract(flux[1:], flux[:-1], out=out[1:])
+    out[1:] /= dx
+    return out
 
 
 def upwind_flux_divergence(u: Field) -> Field:
@@ -251,45 +286,60 @@ def upwind_flux_divergence(u: Field) -> Field:
     Valid because f'(u) = 3u^2 >= 0: characteristics never move leftward.
     Node 0 carries the Dirichlet datum and is excluded (set to 0).
     """
-    dx = u.grid.dx
-    f = u.values**3
-    div = np.zeros_like(f)
-    div[1:] = (f[1:] - f[:-1]) / dx
+    vals = u.values
+    div = _upwind_divergence(vals, u.grid.dx, np.empty_like(vals), np.empty_like(vals))
     return Field(u.grid, div)
 
 
-def _implicit_diffusion(
-    ustar: np.ndarray, r: float, left_value: float, right_value: float
-) -> np.ndarray:
-    """Backward-Euler diffusion solve (I - r*D2) u = ustar on interior nodes.
+class Workspace:
+    """One time level held in plain arrays, advanced in place by ``step``.
 
-    Dirichlet values enter the right-hand side; the tridiagonal system is
-    symmetric with diagonal 1 + 2r and off-diagonals -r.
+    ``u`` and ``P`` (the running trapezoid of u) are the solution at time
+    ``t``; ``boundary_gradient`` and ``grad_sq`` are its one-sided du/dx(t,0)
+    and the trapezoidal L2 norm squared of du/dx, and ``g_value`` the
+    boundary datum g(t) the last step imposed.  The remaining arrays are
+    scratch.  Everything is allocated once; a step swaps buffers rather than
+    allocating, so callers must read ``u`` and ``P`` afresh after each step
+    and copy what they keep (``state()`` does).
     """
-    m = ustar.shape[0] - 2
-    ab = np.zeros((3, m))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-1] = -r
-    rhs = ustar[1:-1].copy()
-    rhs[0] += r * left_value
-    rhs[-1] += r * right_value
-    out = np.empty_like(ustar)
-    out[1:-1] = solve_banded((1, 1), ab, rhs)
-    out[0] = left_value
-    out[-1] = right_value
-    return out
+
+    def __init__(self, grid: Grid, t: float, u: np.ndarray, P: np.ndarray):
+        n = grid.node_count
+        self.grid = grid
+        self.t = float(t)
+        self.u = np.array(u, dtype=float)
+        self.P = np.array(P, dtype=float)
+        self.spare = np.empty(n)
+        self.scratch = np.empty(n)
+        self.diag = np.empty(n - 2)
+        self.offdiag = np.empty(n - 3)
+        self.weight = _projection_weight(grid)
+        self.g_value = math.nan
+        with np.errstate(over="ignore"):
+            self.boundary_gradient = _one_sided_gradient(self.u, grid.dx)
+            self.grad_sq = _grad_sq(self.u, grid.dx, self.scratch)
+
+    def state(self) -> State:
+        """The current time level as a State of read-only Fields (copied and
+        checked finite)."""
+        return State(
+            t=self.t,
+            u=Field(self.grid, self.u),
+            P=Field(self.grid, self.P),
+            boundary_gradient=self.boundary_gradient,
+        )
 
 
 def step(
-    state: State,
+    state: State | None,
     config: SolverConfig,
     g: BoundaryData,
     *,
     dt: float | None = None,
     enable_advection: bool = True,
     enable_source: bool | None = None,
-) -> State:
+    workspace: Workspace | None = None,
+) -> State | None:
     """Advance one time level.
 
     IMEX: explicit upwind advection and explicit gauged source, implicit
@@ -299,62 +349,94 @@ def step(
     formula.  The fully-explicit scheme treats diffusion by forward Euler
     under its own CFL limit.
 
+    Given a ``state``, returns the next State.  Given ``workspace`` instead
+    (and ``state=None``), advances the workspace in place and returns None;
+    this is the form ``run`` uses, which builds no Field or State per step.
+    Either way g(t+dt) is evaluated once.  A non-finite CFL speed, a time
+    step that does not advance t, or a non-finite result raises
+    ``BlowUpError`` with the time, before anything non-finite is stored.
+
     The keyword switches exist for scheme verification (pure-advection and
     pure-diffusion sub-problems); production runs leave them at defaults.
     """
-    if state.t >= config.final_time:
+    if (state is None) == (workspace is None):
+        raise TypeError("step needs exactly one of state and workspace")
+    grid = config.grid
+    ws = workspace or Workspace(state.u.grid, state.t, state.u.values, state.P.values)
+    if ws.t >= config.final_time:
         raise ValueError("state is already at or beyond final_time")
     if enable_source is None:
         enable_source = config.include_source
-    grid = config.grid
     dx = grid.dx
     if dt is None:
-        dt = stable_dt(state, config)
+        dt = _cfl_dt(ws.u, ws.t, config)
+    t_new = ws.t + dt
+    if not t_new > ws.t:
+        raise BlowUpError(ws.t, f"time step {dt:.3g} does not advance t={ws.t:.6g}")
+    g_new = g(t_new)
 
-    u = state.u.values
+    u, P, new, scratch = ws.u, ws.P, ws.spare, ws.scratch
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = np.zeros_like(u)
+        # ustar = u + dt * (source - flux divergence), built in ``new``
         if enable_advection:
-            f = u**3
-            rhs[1:] -= (f[1:] - f[:-1]) / dx
-        if enable_source:
-            P = state.P.values
-            rhs += P - _trapz(P, dx) / grid.length
-        ustar = u + dt * rhs
-
-        g_new = g(state.t + dt)
-        if config.scheme == "imex" and config.eps > 0.0:
-            r = config.eps * dt / (dx * dx)
-            unew = _implicit_diffusion(ustar, r, g_new, 0.0)
+            _upwind_divergence(u, dx, out=new, flux=scratch)
         else:
-            if config.eps > 0.0:
-                lap = np.zeros_like(u)
-                lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-                ustar = ustar + config.eps * dt * lap
-            unew = ustar
-            unew[0] = g_new
-            unew[-1] = 0.0
+            new.fill(0.0)
+        if enable_source:
+            np.subtract(P, _trapz(P, dx) / grid.length, out=scratch)
+            np.subtract(scratch, new, out=new)
+            new *= dt
+        else:
+            new *= -dt
+        new += u
+
+        if config.scheme == "imex" and config.eps > 0.0:
+            # (I - r D2) u = ustar on interior nodes; the Dirichlet value
+            # g_new enters the right-hand side (the right one is 0).  The
+            # slice is contiguous float64, so dptsv solves in place into it.
+            r = config.eps * dt / (dx * dx)
+            rhs = new[1:-1]
+            rhs[0] += r * g_new
+            ws.diag.fill(1.0 + 2.0 * r)
+            ws.offdiag.fill(-r)
+            info = dptsv(ws.diag, ws.offdiag, rhs,
+                         overwrite_d=1, overwrite_e=1, overwrite_b=1)[3]
+            if info != 0:
+                raise BlowUpError(t_new, f"diffusion solve failed (dptsv info={info})")
+        elif config.eps > 0.0:
+            lap = scratch[1:-1]
+            np.multiply(u[1:-1], 2.0, out=lap)
+            np.subtract(u[2:], lap, out=lap)
+            lap += u[:-2]
+            lap /= dx * dx
+            lap *= config.eps * dt
+            new[1:-1] += lap
+        new[0] = g_new
+        new[-1] = 0.0
 
         if enable_source:
             # zero-mean re-projection: mass conservation of the sourced
             # problem is structural, not left to truncation-error drift.
             # The source-free conservation law exchanges mass through the
             # boundary and must not be projected.
-            unew = unew - _trapz(unew, dx) * _projection_weight(grid)
-            unew[0] = g_new
-            unew[-1] = 0.0
+            np.multiply(ws.weight, _trapz(new, dx), out=scratch)
+            new -= scratch
+            new[0] = g_new
+            new[-1] = 0.0
 
-    t_new = state.t + dt
-    if not np.isfinite(unew).all():
-        raise BlowUpError(t_new)
+        P_new = _running_trapezoid(new, dx, out=scratch)
+        # P_new[-1] sums every node of the new u, so it is finite only if
+        # all of them are (inf and nan propagate through the running sum)
+        if not math.isfinite(P_new[-1]):
+            raise BlowUpError(t_new)
 
-    u_field = Field(grid, unew)
-    return State(
-        t=t_new,
-        u=u_field,
-        P=cumulative_primitive(u_field),
-        boundary_gradient=_one_sided_gradient(unew, dx),
-    )
+        ws.u, ws.spare = new, u
+        ws.P, ws.scratch = P_new, P
+        ws.t = t_new
+        ws.g_value = g_new
+        ws.boundary_gradient = _one_sided_gradient(new, dx)
+        ws.grad_sq = _grad_sq(new, dx, ws.scratch)
+    return ws.state() if workspace is None else None
 
 
 def _ramped(g: BoundaryData, u0_left: float, ramp_width: float) -> BoundaryData:
@@ -415,32 +497,27 @@ def run(
     snap_times = sorted(set((0.0, float(config.final_time), *config.snapshot_times)))
     config = replace(config, snapshot_times=tuple(snap_times))
 
-    dx = config.grid.dx
-    state = State(
-        t=0.0,
-        u=u0,
-        P=cumulative_primitive(u0),
-        boundary_gradient=_one_sided_gradient(u0.values, dx),
-    )
-    initial = state
-    snapshots = [state]
-    series = [(0.0, g0, state.boundary_gradient)]
-    grad_sq = [_grad_sq(u0.values, dx)]
+    P0 = cumulative_primitive(u0)
+    ws = Workspace(config.grid, 0.0, u0.values, P0.values)
+    initial = State(t=0.0, u=u0, P=P0, boundary_gradient=ws.boundary_gradient)
+    snapshots = [initial]
+    series = [(0.0, g0, ws.boundary_gradient)]
+    grad_sq = [ws.grad_sq]
     dts = []
     next_snap = 1  # snap_times[0] == 0.0 already recorded
 
-    while state.t < config.final_time - 1e-12:
-        dt = stable_dt(state, config)
+    while ws.t < config.final_time - 1e-12:
+        dt = _cfl_dt(ws.u, ws.t, config)
         if next_snap < len(snap_times):
-            gap = snap_times[next_snap] - state.t
+            gap = snap_times[next_snap] - ws.t
             if gap > 1e-14:
                 dt = min(dt, gap)
-        state = step(state, config, g, dt=dt)
+        step(None, config, g, dt=dt, workspace=ws)
         dts.append(dt)
-        series.append((state.t, g(state.t), state.boundary_gradient))
-        grad_sq.append(_grad_sq(state.u.values, dx))
-        while next_snap < len(snap_times) and state.t >= snap_times[next_snap] - 1e-12:
-            snapshots.append(state)
+        series.append((ws.t, ws.g_value, ws.boundary_gradient))
+        grad_sq.append(ws.grad_sq)
+        while next_snap < len(snap_times) and ws.t >= snap_times[next_snap] - 1e-12:
+            snapshots.append(ws.state())
             next_snap += 1
 
     return Trajectory(

@@ -198,3 +198,31 @@ class TestErrors:
         err = read_json(out / "error.json")
         assert err["error"] == "DataValidationError"
         assert err["violations"]
+
+    @pytest.mark.parametrize("doc", [
+        [{"name": "tiny"}],                                  # top-level array
+        {"name": "tiny", "grid": {"n": 128}, "time": {"T": 0.2}, "epsilon": 0.01,
+         "initial": {"preset": "bump-derivative"}, "boundary": {"preset": "zero"}},
+    ], ids=["top-level-array", "grid-without-L"])
+    def test_schema_violation_exits_2_with_error_json(self, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["solve", "--scenario", str(bad), "--out", str(out)]) == 2
+        err = read_json(out / "error.json")
+        assert err["error"] == "DataValidationError"
+        assert len(err["violations"]) == 1
+
+    def test_overflowing_amplitude_is_a_blow_up(self, tmp_path):
+        # max u^2 overflows before the first step: a typed blow-up at t = 0,
+        # not a solver library's complaint about non-finite input
+        scenario = tiny_scenario(
+            tmp_path,
+            initial={"preset": "bump-derivative",
+                     "params": {"a": 1e200, "x0": 2.0, "sigma": 1.0}},
+        )
+        out = tmp_path / "out"
+        assert main(["solve", "--scenario", str(scenario), "--out", str(out)]) == 2
+        err = read_json(out / "error.json")
+        assert err["error"] == "BlowUpError"
+        assert err["time"] == 0.0

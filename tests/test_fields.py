@@ -61,6 +61,10 @@ class TestGrid:
         assert nodes[-1] == pytest.approx(g.length, abs=1e-15)
         assert np.all(np.diff(nodes) > 0)
         assert g.dx * g.cell_count == pytest.approx(g.length, rel=1e-15)
+        # computed once per grid and shared read-only
+        assert g.nodes is nodes
+        with pytest.raises(ValueError):
+            nodes[1] = 0.0
 
 
 class TestField:

@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spe.errors import BlowUpError, DataValidationError
 from spe.fields import Field, lp_norm, make_uniform_grid, mean
@@ -19,6 +21,7 @@ from spe.scheme import (
     BoundaryData,
     SolverConfig,
     State,
+    Workspace,
     mollify_data,
     run,
     stable_dt,
@@ -404,3 +407,123 @@ class TestRun:
         fine_gap = abs(norms[1000] - norms[500])
         # first-order convergence: successive gaps shrink by about half
         assert fine_gap <= 0.75 * coarse_gap
+
+
+def zero_mean_state(grid, rng, amplitude, g0):
+    """Random state with u(0) = g0, u(L) = 0 and zero trapezoidal mean."""
+    vals = amplitude * rng.normal(size=grid.node_count)
+    vals[0] = g0
+    vals[-1] = 0.0
+    w = np.sin(np.pi * grid.nodes / grid.length) ** 2  # vanishes at both ends
+    vals -= mean(Field(grid, vals)) / mean(Field(grid, w)) * w
+    vals[-1] = 0.0
+    return make_state(grid, vals)
+
+
+class TestKernelProperties:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(8, 200),
+        eps=st.floats(1e-4, 1e-1),
+        amplitude=st.floats(1e-3, 2.0),
+        g0=st.floats(-1.0, 1.0),
+        dt_fraction=st.floats(0.01, 1.0),
+        scheme=st.sampled_from(["imex", "explicit"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_step_invariants(self, seed, n, eps, amplitude, g0, dt_fraction, scheme):
+        grid = make_uniform_grid(10.0, n)
+        config = SolverConfig(eps=eps, grid=grid, final_time=10.0, scheme=scheme)
+        state = zero_mean_state(grid, np.random.default_rng(seed), amplitude, g0)
+        g = BoundaryData(g=lambda t: g0, sup_bound=abs(g0))
+        dt = dt_fraction * stable_dt(state, config)
+        new = step(state, config, g, dt=dt)
+        assert new.t == state.t + dt
+        assert new.u.values[0] == g0
+        assert new.u.values[-1] == 0.0
+        assert abs(mean(new.u)) <= 1e-13 * lp_norm(new.u, 1)
+        assert np.isfinite(new.u.values).all() and np.isfinite(new.P.values).all()
+        assert np.isfinite(new.boundary_gradient)
+
+    @given(
+        a=st.floats(0.1, 1.0),
+        pulse=st.floats(0.0, 0.5),
+        eps=st.floats(1e-3, 1e-1),
+        scheme=st.sampled_from(["imex", "explicit"]),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_workspace_run_matches_state_step_loop(self, a, pulse, eps, scheme):
+        # run() drives the kernel through a Workspace; replaying its time
+        # steps through the State-level step() must give the same levels
+        grid = make_uniform_grid(10.0, 100)
+        config = SolverConfig(eps=eps, grid=grid, final_time=0.1, scheme=scheme,
+                              snapshot_times=(0.03, 0.07))
+        u0 = preset_initial("bump-derivative", {"a": a, "x0": 2.0, "sigma": 1.0}, grid)
+        g = preset_boundary("pulse", {"a": pulse, "tau": 0.08})
+        traj = run(u0, g, config)
+
+        def close(got, want):
+            return np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+
+        state = traj.initial
+        by_time = {state.t: state}
+        rows = [(state.t, g(state.t), state.boundary_gradient)]
+        for dt in traj.step_log:
+            state = step(state, config, g, dt=float(dt))
+            by_time[state.t] = state
+            rows.append((state.t, g(state.t), state.boundary_gradient))
+        assert close(np.asarray(rows), traj.boundary_series)
+        for snap in traj.snapshots:
+            ref = by_time[snap.t]
+            assert close(snap.u.values, ref.u.values)
+            assert close(snap.P.values, ref.P.values)
+
+
+class TestBlowUpAtSource:
+    def grid(self):
+        return make_uniform_grid(10.0, 64)
+
+    def test_overflowing_speed_raises_with_time(self):
+        # max u^2 overflows: no time step exists, at t = 0.25 already
+        grid = self.grid()
+        config = SolverConfig(eps=1e-2, grid=grid, final_time=1.0)
+        state = make_state(grid, 1e200 * np.sin(grid.nodes), t=0.25)
+        with pytest.raises(BlowUpError) as excinfo:
+            stable_dt(state, config)
+        assert excinfo.value.time == 0.25
+        with pytest.raises(BlowUpError):
+            step(state, config, BoundaryData.zero())
+
+    def test_step_that_does_not_advance_time_raises(self):
+        grid = self.grid()
+        config = SolverConfig(eps=1e-2, grid=grid, final_time=2.0)
+        state = make_state(grid, np.sin(grid.nodes), t=1.0)
+        for dt in (0.0, 1e-20):
+            with pytest.raises(BlowUpError) as excinfo:
+                step(state, config, BoundaryData.zero(), dt=dt)
+            assert excinfo.value.time == 1.0
+
+    def test_overflowing_flux_raises_and_keeps_the_workspace(self):
+        # u^2 is finite (so is the CFL step) but the flux u^3 overflows;
+        # the failed step leaves the workspace's finite level untouched
+        grid = self.grid()
+        config = SolverConfig(eps=1e-2, grid=grid, final_time=1.0)
+        state = make_state(grid, 1e150 * np.sin(grid.nodes))
+        ws = Workspace(grid, state.t, state.u.values, state.P.values)
+        u_before = ws.u.copy()
+        with pytest.raises(BlowUpError) as excinfo:
+            step(None, config, BoundaryData.zero(), workspace=ws)
+        assert excinfo.value.time > 0.0
+        assert ws.t == 0.0
+        assert np.array_equal(ws.u, u_before)
+        assert np.isfinite(ws.P).all()
+
+    def test_step_needs_exactly_one_of_state_and_workspace(self):
+        grid = self.grid()
+        config = SolverConfig(eps=1e-2, grid=grid, final_time=1.0)
+        state = make_state(grid, np.zeros(grid.node_count))
+        with pytest.raises(TypeError):
+            step(None, config, BoundaryData.zero())
+        with pytest.raises(TypeError):
+            step(state, config, BoundaryData.zero(),
+                 workspace=Workspace(grid, state.t, state.u.values, state.P.values))
