@@ -167,10 +167,10 @@ def _validate_admissibility(u0: Field, g: BoundaryData) -> list:
 
 
 #: required top-level keys; for each JSON-object block, its required keys
-REQUIRED_KEYS = ("name", "grid", "time", "epsilon", "initial", "boundary")
-BLOCK_KEYS = {"grid": ("L", "n"), "time": ("T",), "initial": (), "boundary": (),
+_REQUIRED_KEYS = ("name", "grid", "time", "epsilon", "initial", "boundary")
+_BLOCK_KEYS = {"grid": ("L", "n"), "time": ("T",), "initial": (), "boundary": (),
               "physical": ("k", "c2")}
-NUMBER_KEYS = (("grid", "L"), ("grid", "n"), ("time", "T"), ("time", "cfl_safety"),
+_NUMBER_KEYS = (("grid", "L"), ("grid", "n"), ("time", "T"), ("time", "cfl_safety"),
                ("physical", "k"), ("physical", "c2"), (None, "epsilon"))
 
 
@@ -180,17 +180,17 @@ def _is_number(value) -> bool:
 
 def _schema_violations(doc) -> list:
     """Every structural violation of a scenario document: the top level and
-    each block (and preset ``params``) must be JSON objects with their
-    required keys, and the grid, time, viscosity and physical values must be
-    numbers."""
+    each block must be JSON objects with their required keys, the grid,
+    time, viscosity, physical and preset parameter values must be numbers,
+    and data file names strings."""
     if not isinstance(doc, dict):
         return [f"the scenario must be a JSON object, got {type(doc).__name__}"]
-    violations = [f"missing required key '{key}'" for key in REQUIRED_KEYS
+    violations = [f"missing required key '{key}'" for key in _REQUIRED_KEYS
                   if key not in doc]
     blocks = {}
-    for block, keys in BLOCK_KEYS.items():
+    for block, keys in _BLOCK_KEYS.items():
         sub = doc.get(block)
-        if block not in doc or (sub is None and block not in REQUIRED_KEYS):
+        if block not in doc or (sub is None and block not in _REQUIRED_KEYS):
             continue  # absent, or an optional block set to null
         if not isinstance(sub, dict):
             violations.append(
@@ -199,17 +199,20 @@ def _schema_violations(doc) -> list:
         blocks[block] = sub
         violations += [f"missing required key '{block}.{key}'" for key in keys
                        if key not in sub]
-    for block, key in NUMBER_KEYS:
+    for block, key in _NUMBER_KEYS:
         holder = doc if block is None else blocks.get(block, {})
         where = key if block is None else f"{block}.{key}"
         if key in holder and not _is_number(holder[key]):
             violations.append(f"'{where}' must be a number, got {holder[key]!r}")
     for block in ("initial", "boundary"):
+        if not isinstance(blocks.get(block, {}).get("file", ""), str):
+            violations.append(f"'{block}.file' must be a path string")
         params = blocks.get(block, {}).get("params", {})
-        if not isinstance(params, dict):
-            violations.append(f"'{block}.params' must be a JSON object, got {params!r}")
+        if not (isinstance(params, dict) and all(map(_is_number, params.values()))):
+            violations.append(
+                f"'{block}.params' must be a JSON object of numbers, got {params!r}")
     snapshots = blocks.get("time", {}).get("snapshots", [])
-    if not (isinstance(snapshots, list) and all(_is_number(s) for s in snapshots)):
+    if not (isinstance(snapshots, list) and all(map(_is_number, snapshots))):
         violations.append(
             f"'time.snapshots' must be a list of numbers, got {snapshots!r}")
     return violations

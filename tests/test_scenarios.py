@@ -125,6 +125,20 @@ class TestLoadScenario:
         with pytest.raises(DataValidationError, match="missing required key"):
             parse_scenario({"name": "x"})
 
+    @pytest.mark.parametrize("change, match", [
+        ({"grid": {"L": None, "n": 64}}, "'grid.L' must be a number"),
+        ({"time": None}, "'time' must be a JSON object"),
+        ({"time": {"T": 1.0, "snapshots": 0.5}}, "'time.snapshots' must be a list"),
+        ({"epsilon": "0.01"}, "'epsilon' must be a number"),
+        ({"boundary": {"preset": "pulse", "params": {"a": None}}},
+         "'boundary.params' must be a JSON object of numbers"),
+        ({"physical": {"k": 1.0}}, "missing required key 'physical.c2'"),
+        ({"initial": {"file": 5}}, "'initial.file' must be a path string"),
+    ])
+    def test_schema_violations_reported(self, s1_spec, change, match):
+        with pytest.raises(DataValidationError, match=match):
+            parse_scenario({**s1_spec.raw, **change})
+
     def test_builtin_paths_exist(self):
         for name in ("s1", "s2", "riemann"):
             assert builtin_scenario_path(name).exists()
