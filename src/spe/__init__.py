@@ -4,23 +4,15 @@ inequality, and stability estimate of the underlying well-posedness theory."""
 
 from .errors import BlowUpError, DataValidationError
 from .fields import Field, Grid, lp_norm, make_uniform_grid, mean, windowed_l1
-from .nonlocal_source import (
-    PrimitivePair,
-    cumulative_primitive,
-    far_field_F_identity_residual,
-    far_field_P,
-    second_primitive,
-)
+from .nonlocal_source import cumulative_primitive
 from .scheme import (
     BoundaryData,
     SolverConfig,
     State,
     Trajectory,
-    mollify_data,
     run,
     stable_dt,
     step,
-    upwind_flux_divergence,
 )
 
 __version__ = "0.1.0"
@@ -31,22 +23,16 @@ __all__ = [
     "DataValidationError",
     "Field",
     "Grid",
-    "PrimitivePair",
     "SolverConfig",
     "State",
     "Trajectory",
     "cumulative_primitive",
-    "far_field_F_identity_residual",
-    "far_field_P",
     "lp_norm",
     "make_uniform_grid",
     "mean",
-    "mollify_data",
     "run",
-    "second_primitive",
     "stable_dt",
     "step",
-    "upwind_flux_divergence",
     "windowed_l1",
     "__version__",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import Field, lp_norm, mean, windowed_l1
+from .fields import Field, _running_trapezoid, lp_norm, mean, windowed_l1
 from .scheme import BoundaryData, SolverConfig, Trajectory, run
 
 __all__ = [
@@ -113,10 +113,6 @@ def mean_residual(traj: Trajectory) -> np.ndarray:
     return np.array([abs(mean(s.u)) for s in traj.snapshots])
 
 
-def _series_time_integral(times: np.ndarray, values: np.ndarray) -> float:
-    return float(np.trapezoid(values, times))
-
-
 def l2_balance_residual(traj: Trajectory) -> float:
     """Residual of the integrated L2 balance over [0, T].
 
@@ -130,10 +126,10 @@ def l2_balance_residual(traj: Trajectory) -> float:
     times = traj.boundary_series[:, 0]
     g_vals = traj.boundary_series[:, 1]
     dudx0 = traj.boundary_series[:, 2]
-    diss = 2.0 * eps * _series_time_integral(times, traj.grad_sq_series)
-    boundary = _series_time_integral(
-        times, 1.5 * g_vals**4 + 2.0 * eps * g_vals * dudx0
-    )
+    diss = 2.0 * eps * float(np.trapezoid(traj.grad_sq_series, times))
+    boundary = float(np.trapezoid(
+        1.5 * g_vals**4 + 2.0 * eps * g_vals * dudx0, times
+    ))
     u2_T = lp_norm(traj.final.u, 2) ** 2
     u2_0 = lp_norm(traj.initial.u, 2) ** 2
     return abs(u2_T - u2_0 + diss - boundary)
@@ -141,11 +137,8 @@ def l2_balance_residual(traj: Trajectory) -> float:
 
 def _cumulative_g_power(traj: Trajectory, power: int) -> np.ndarray:
     """Cumulative trapezoidal integral of g^power on the step-time grid."""
-    times = traj.boundary_series[:, 0]
     vals = traj.boundary_series[:, 1] ** power
-    out = np.zeros_like(times)
-    np.cumsum(0.5 * np.diff(times) * (vals[:-1] + vals[1:]), out=out[1:])
-    return out
+    return _running_trapezoid(vals, np.diff(traj.boundary_series[:, 0]))
 
 
 def _at_snapshot_times(traj: Trajectory, series: np.ndarray) -> np.ndarray:

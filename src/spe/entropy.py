@@ -44,15 +44,10 @@ def kruzhkov_flux(u, c):
 
 @dataclass(frozen=True)
 class EntropyPair:
-    """Kruzhkov entropy/flux pair for the constant c."""
+    """Kruzhkov entropy/flux pair for the constant c: eta(u) = |u - c| and
+    q(u) = kruzhkov_flux(u, c)."""
 
     c: float
-
-    def eta(self, u):
-        return np.abs(u - self.c)
-
-    def q(self, u):
-        return kruzhkov_flux(u, self.c)
 
 
 @dataclass(frozen=True)
@@ -73,19 +68,8 @@ class BumpProfile:
         if not self.hi > self.lo:
             raise ValueError("profile support must have positive length")
 
-    def value(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.edge_at_lo:
-            z = (s - self.lo) / (self.hi - self.lo)
-        else:
-            z = (2.0 * s - (self.lo + self.hi)) / (self.hi - self.lo)
-        inside = (z > -1.0) & (z < 1.0) if not self.edge_at_lo else (z >= 0.0) & (z < 1.0)
-        out = np.zeros_like(z)
-        zi = z[inside]
-        out[inside] = (1.0 - zi**2) ** 3
-        return out
-
-    def derivative(self, s):
+    def _local(self, s):
+        # z across the support, dz/ds, and the mask of points inside it
         s = np.asarray(s, dtype=float)
         if self.edge_at_lo:
             z = (s - self.lo) / (self.hi - self.lo)
@@ -95,6 +79,17 @@ class BumpProfile:
             z = (2.0 * s - (self.lo + self.hi)) / (self.hi - self.lo)
             scale = 2.0 / (self.hi - self.lo)
             inside = (z > -1.0) & (z < 1.0)
+        return z, scale, inside
+
+    def value(self, s):
+        z, _, inside = self._local(s)
+        out = np.zeros_like(z)
+        zi = z[inside]
+        out[inside] = (1.0 - zi**2) ** 3
+        return out
+
+    def derivative(self, s):
+        z, scale, inside = self._local(s)
         out = np.zeros_like(z)
         zi = z[inside]
         out[inside] = -6.0 * zi * (1.0 - zi**2) ** 2 * scale

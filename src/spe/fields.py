@@ -95,6 +95,21 @@ def _trapz(values: np.ndarray, dx: float) -> float:
     return float(dx * (0.5 * values[0] + values[1:-1].sum() + 0.5 * values[-1]))
 
 
+def _running_trapezoid(
+    values: np.ndarray, dx: float | np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Running trapezoid of ``values`` from 0, written into ``out`` (allocated
+    when None); ``out`` must not alias ``values``.  ``dx`` is the uniform
+    spacing or the array of the len(values) - 1 spacings."""
+    if out is None:
+        out = np.empty_like(values)
+    out[0] = 0.0
+    np.add(values[:-1], values[1:], out=out[1:])
+    out[1:] *= 0.5 * dx
+    np.cumsum(out[1:], out=out[1:])
+    return out
+
+
 def lp_norm(f: Field, p) -> float:
     """Trapezoidal approximation of the L^p norm over [0, L], p in {1, 2, 4, inf}.
 

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataValidationError
-from .fields import Field, Grid, lp_norm, make_uniform_grid, mean
+from .fields import Field, Grid, _trapz, lp_norm, make_uniform_grid, mean
 from .nonlocal_source import cumulative_primitive
-from .scheme import BoundaryData, SolverConfig
+from .scheme import BoundaryData, SolverConfig, zero_mean_tolerance
 
 __all__ = [
     "ScenarioSpec",
@@ -85,9 +85,7 @@ def preset_initial(preset: str, params: dict, grid: Grid) -> Field:
         vals = np.where(inside, a * np.sin(2.0 * np.pi * m * (x - x0) / w), 0.0)
         # exact zero-mean re-projection, confined to the packet window
         win = np.where(inside, np.sin(np.pi * np.clip((x - x0) / w, 0, 1)) ** 2, 0.0)
-        win_mass = grid.dx * (0.5 * win[0] + win[1:-1].sum() + 0.5 * win[-1])
-        vals = vals - (grid.dx * (0.5 * vals[0] + vals[1:-1].sum()
-                                  + 0.5 * vals[-1])) * win / win_mass
+        vals = vals - _trapz(vals, grid.dx) * win / _trapz(win, grid.dx)
         return Field(grid, vals)
     if preset == "riemann-test":
         left = float(params.get("left", 1.0))
@@ -148,7 +146,7 @@ def _validate_admissibility(u0: Field, g: BoundaryData) -> list:
     violations = []
     l1 = lp_norm(u0, 1)
     m = mean(u0)
-    if abs(m) > 1e-10 * max(l1, 1e-300):
+    if abs(m) > zero_mean_tolerance(l1):
         violations.append(
             f"nonzero mean violates the zero-mean requirement int u0 dx = 0 "
             f"(mean = {m:.6g})"

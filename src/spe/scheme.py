@@ -44,8 +44,8 @@ import numpy as np
 from scipy.linalg.lapack import dptsv
 
 from .errors import BlowUpError, DataValidationError
-from .fields import Field, Grid, lp_norm, mean
-from .nonlocal_source import _running_trapezoid, cumulative_primitive
+from .fields import Field, Grid, _running_trapezoid, _trapz, lp_norm, mean
+from .nonlocal_source import cumulative_primitive
 
 __all__ = [
     "BoundaryData",
@@ -53,15 +53,16 @@ __all__ = [
     "State",
     "Trajectory",
     "Workspace",
-    "mollify_data",
     "stable_dt",
-    "upwind_flux_divergence",
     "step",
     "run",
+    "zero_mean_tolerance",
 ]
 
 #: floor on the characteristic speed in the CFL condition
 SPEED_FLOOR = 1e-12
+#: largest |u0(0) - g(0)| that ``run`` accepts without a compatibility warning
+COMPAT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,6 @@ class Trajectory:
     boundary_series: np.ndarray = field(repr=False)
     grad_sq_series: np.ndarray = field(repr=False)
     step_log: np.ndarray = field(repr=False)
-    verdict: str = "completed"
 
     @property
     def final(self) -> State:
@@ -164,13 +164,9 @@ def _projection_weight(grid: Grid) -> np.ndarray:
     # boundary nodes so Dirichlet values survive the projection untouched
     x = grid.nodes
     w = np.sin(np.pi * x / grid.length) ** 2
-    w /= grid.dx * (0.5 * w[0] + w[1:-1].sum() + 0.5 * w[-1])
+    w /= _trapz(w, grid.dx)
     w.setflags(write=False)
     return w
-
-
-def _trapz(values: np.ndarray, dx: float) -> float:
-    return float(dx * (0.5 * values[0] + values[1:-1].sum() + 0.5 * values[-1]))
 
 
 def _one_sided_gradient(values: np.ndarray, dx: float) -> float:
@@ -190,55 +186,10 @@ def _grad_sq(values: np.ndarray, dx: float, scratch: np.ndarray) -> float:
     return _trapz(gr, dx)
 
 
-def mollify_data(
-    u0: Field, g: BoundaryData, width: float
-) -> tuple[Field, BoundaryData]:
-    """Smooth both data with a compactly supported polynomial kernel.
-
-    The kernel (1 - (r/width)^2)^3 is sampled on the grid and normalized to
-    unit discrete mass, so smoothing is a convex combination and cannot
-    increase the sup, L2 or L4 norms.  The smoothed initial datum is then
-    re-projected to exact zero trapezoidal mean by subtracting a multiple of
-    the fixed interior weight (the derivative-of-primitive correction: the
-    weight has unit integral by telescoping, so the projection cancels the
-    mean exactly and is the identity on already-zero-mean data).
-
-    width = 0 returns both arguments unchanged apart from the (then trivial)
-    re-projection.
-    """
-    if width < 0.0:
-        raise ValueError("mollification width must be >= 0")
-    grid = u0.grid
-    dx = grid.dx
-    if width < dx:
-        smoothed = np.array(u0.values, dtype=float)
-    else:
-        half = int(np.floor(width / dx))
-        r = np.arange(-half, half + 1) * dx
-        kernel = (1.0 - (r / width) ** 2) ** 3
-        kernel /= kernel.sum()
-        smoothed = np.convolve(u0.values, kernel, mode="same")
-
-    w = _projection_weight(grid)
-    smoothed = smoothed - _trapz(smoothed, dx) * w
-    u_out = Field(grid, smoothed)
-
-    if width < dx:
-        return u_out, g
-
-    inner = g.g
-    half = int(np.floor(width / dx))
-    offsets = np.arange(-half, half + 1) * dx
-    base_kernel = (1.0 - (offsets / width) ** 2) ** 3
-
-    def smoothed_g(t: float) -> float:
-        ts = t + offsets
-        keep = ts >= 0.0
-        k = base_kernel[keep]
-        vals = np.array([inner(s) for s in ts[keep]])
-        return float((k * vals).sum() / k.sum())
-
-    return u_out, BoundaryData(g=smoothed_g, sup_bound=g.sup_bound)
+def zero_mean_tolerance(l1: float) -> float:
+    """Largest |trapezoidal mean| that an initial datum of L1 norm ``l1`` may
+    have and still count as zero-mean: 1e-10 * ||u0||_L1."""
+    return 1e-10 * max(l1, 1e-300)
 
 
 def _cfl_dt(u: np.ndarray, t: float, config: SolverConfig) -> float:
@@ -268,7 +219,7 @@ def stable_dt(state: State, config: SolverConfig) -> float:
 
 def _upwind_divergence(
     u: np.ndarray, dx: float, out: np.ndarray, flux: np.ndarray
-) -> np.ndarray:
+) -> None:
     # (f_i - f_{i-1}) / dx with f = u^3 into ``out``, 0 at node 0;
     # ``flux`` is overwritten.  u*u*u is exact to an ulp and far cheaper
     # than u**3 (a pow call per node).
@@ -277,18 +228,6 @@ def _upwind_divergence(
     out[0] = 0.0
     np.subtract(flux[1:], flux[:-1], out=out[1:])
     out[1:] /= dx
-    return out
-
-
-def upwind_flux_divergence(u: Field) -> Field:
-    """Left-biased divergence of the flux u^3: (f_i - f_{i-1}) / dx.
-
-    Valid because f'(u) = 3u^2 >= 0: characteristics never move leftward.
-    Node 0 carries the Dirichlet datum and is excluded (set to 0).
-    """
-    vals = u.values
-    div = _upwind_divergence(vals, u.grid.dx, np.empty_like(vals), np.empty_like(vals))
-    return Field(u.grid, div)
 
 
 class Workspace:
@@ -336,8 +275,6 @@ def step(
     g: BoundaryData,
     *,
     dt: float | None = None,
-    enable_advection: bool = True,
-    enable_source: bool | None = None,
     workspace: Workspace | None = None,
 ) -> State | None:
     """Advance one time level.
@@ -355,9 +292,7 @@ def step(
     Either way g(t+dt) is evaluated once.  A non-finite CFL speed, a time
     step that does not advance t, or a non-finite result raises
     ``BlowUpError`` with the time, before anything non-finite is stored.
-
-    The keyword switches exist for scheme verification (pure-advection and
-    pure-diffusion sub-problems); production runs leave them at defaults.
+    ``config.include_source`` selects the sourced, projected problem.
     """
     if (state is None) == (workspace is None):
         raise TypeError("step needs exactly one of state and workspace")
@@ -365,8 +300,6 @@ def step(
     ws = workspace or Workspace(state.u.grid, state.t, state.u.values, state.P.values)
     if ws.t >= config.final_time:
         raise ValueError("state is already at or beyond final_time")
-    if enable_source is None:
-        enable_source = config.include_source
     dx = grid.dx
     if dt is None:
         dt = _cfl_dt(ws.u, ws.t, config)
@@ -378,11 +311,8 @@ def step(
     u, P, new, scratch = ws.u, ws.P, ws.spare, ws.scratch
     with np.errstate(over="ignore", invalid="ignore"):
         # ustar = u + dt * (source - flux divergence), built in ``new``
-        if enable_advection:
-            _upwind_divergence(u, dx, out=new, flux=scratch)
-        else:
-            new.fill(0.0)
-        if enable_source:
+        _upwind_divergence(u, dx, out=new, flux=scratch)
+        if config.include_source:
             np.subtract(P, _trapz(P, dx) / grid.length, out=scratch)
             np.subtract(scratch, new, out=new)
             new *= dt
@@ -414,7 +344,7 @@ def step(
         new[0] = g_new
         new[-1] = 0.0
 
-        if enable_source:
+        if config.include_source:
             # zero-mean re-projection: mass conservation of the sourced
             # problem is structural, not left to truncation-error drift.
             # The source-free conservation law exchanges mass through the
@@ -439,19 +369,6 @@ def step(
     return ws.state() if workspace is None else None
 
 
-def _ramped(g: BoundaryData, u0_left: float, ramp_width: float) -> BoundaryData:
-    inner = g.g
-
-    def ramped_g(t: float) -> float:
-        if t >= ramp_width:
-            return float(inner(t))
-        lam = t / ramp_width
-        return float((1.0 - lam) * u0_left + lam * inner(t))
-
-    bound = max(g.sup_bound, abs(u0_left))
-    return BoundaryData(g=ramped_g, sup_bound=bound)
-
-
 def run(
     u0: Field,
     g: BoundaryData,
@@ -459,17 +376,14 @@ def run(
     *,
     require_zero_mean: bool = True,
     strict_compat: bool = False,
-    compat_tol: float = 1e-8,
-    ramp_width: float = 0.0,
 ) -> Trajectory:
     """Integrate from u0 to final_time, recording snapshots and boundary data.
 
     Admissibility: the initial datum must have zero trapezoidal mean within
-    1e-10 * ||u0||_L1 (set ``require_zero_mean=False`` only for deliberately
-    non-conforming shock-validation data).  A mismatch u0(0) != g(0) is
-    surfaced as a warning, or an error under ``strict_compat``; with
-    ``ramp_width`` > 0 the boundary datum is ramped from u0(0) over that
-    initial interval instead.
+    ``zero_mean_tolerance`` (set ``require_zero_mean=False`` only for
+    deliberately non-conforming shock-validation data).  A mismatch
+    |u0(0) - g(0)| > ``COMPAT_TOL`` is surfaced as a warning, or an error
+    under ``strict_compat``.
 
     Steps are shortened to land exactly on each requested snapshot time, so
     snapshots carry no interpolation error.  Snapshots always include t=0 and
@@ -477,22 +391,20 @@ def run(
     """
     if u0.grid != config.grid:
         raise DataValidationError(["initial datum lives on a different grid"])
-    l1 = lp_norm(u0, 1)
-    if require_zero_mean and abs(mean(u0)) > 1e-10 * max(l1, 1e-300):
+    allowed = zero_mean_tolerance(lp_norm(u0, 1))
+    if require_zero_mean and abs(mean(u0)) > allowed:
         raise DataValidationError(
             [f"nonzero mean violates the zero-mean requirement on the initial "
-             f"datum: mean = {mean(u0):.3e}, allowed {1e-10 * l1:.3e}"]
+             f"datum: mean = {mean(u0):.3e}, allowed {allowed:.3e}"]
         )
     g0 = g(0.0)
     u0_left = float(u0.values[0])
-    if abs(u0_left - g0) > compat_tol:
+    if abs(u0_left - g0) > COMPAT_TOL:
         msg = (f"initial/boundary compatibility mismatch: u0(0) = {u0_left:.6g} "
                f"but g(0) = {g0:.6g}")
         if strict_compat:
             raise DataValidationError([msg])
         warnings.warn(msg, stacklevel=2)
-        if ramp_width > 0.0:
-            g = _ramped(g, u0_left, ramp_width)
 
     snap_times = sorted(set((0.0, float(config.final_time), *config.snapshot_times)))
     config = replace(config, snapshot_times=tuple(snap_times))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from spe.cli import main
-from spe.scenarios import builtin_scenario_path
+from spe.scenarios import builtin_scenario_path, load_scenario
+from spe.scheme import run
 
 
 def tiny_scenario(tmp_path, **overrides):
@@ -53,6 +54,27 @@ class TestSolve:
         assert header == "t,x,u,P"
         header = (out / "boundary.csv").read_text().splitlines()[0]
         assert header == "t,g,dudx0"
+
+    def test_csv_values_round_trip_exactly(self, tmp_path):
+        # every written value parses back with float() to the very value the
+        # trajectory holds: shortest round-trip formatting, nothing rounded
+        scenario = tiny_scenario(tmp_path, boundary={
+            "preset": "pulse", "params": {"a": 0.3, "tau": 0.15}})
+        out = tmp_path / "out"
+        assert main(["solve", "--scenario", str(scenario), "--out", str(out)]) == 0
+        spec = load_scenario(scenario)
+        traj = run(spec.initial, spec.boundary, spec.config)
+
+        def parsed(name):
+            lines = (out / name).read_text().splitlines()[1:]
+            return [[float(v) for v in line.split(",")] for line in lines]
+
+        xs = spec.grid.nodes
+        for k, snap in enumerate(traj.snapshots):
+            want = [[snap.t, x, u, P]
+                    for x, u, P in zip(xs, snap.u.values, snap.P.values)]
+            assert parsed(f"snapshot_{k:03d}.csv") == want
+        assert parsed("boundary.csv") == traj.boundary_series.tolist()
 
     def test_nonconforming_rejected_outside_entropy(self, tmp_path):
         out = tmp_path / "out"
@@ -146,6 +168,21 @@ class TestStability:
         assert code == 0
         doc = read_json(out / "stability.json")
         assert doc["detail"]["constant"] == 25.0
+
+    @pytest.mark.parametrize("C", ["0", "-1"])
+    def test_nonpositive_constant_is_an_input_error(self, tmp_path, C):
+        # C = 0 must reach the comparator's check, not fall back to 3M^2+1
+        scenario = tiny_scenario(tmp_path)
+        out = tmp_path / "out"
+        code = main([
+            "stability", "--scenario", str(scenario), "--out", str(out),
+            "--stability-C", C,
+        ])
+        assert code == 2
+        assert not (out / "stability.json").exists()
+        err = read_json(out / "error.json")
+        assert err["error"] == "ValueError"
+        assert "stability constant" in err["message"]
 
 
 class TestSweep:
