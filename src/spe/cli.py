@@ -159,22 +159,35 @@ def _cmd_invariants(spec: ScenarioSpec, out: Path, args) -> int:
     return 0 if report.all_pass else 1
 
 
+def _parse_bumps(text: str) -> tuple:
+    message = f"--bumps must be two positive integers kt,kx, got {text!r}"
+    try:
+        kt, kx = (int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(message) from None
+    if kt < 1 or kx < 1:
+        raise ValueError(message)
+    return kt, kx
+
+
 def _cmd_entropy(spec: ScenarioSpec, out: Path, args) -> int:
+    if args.constants < 1:
+        raise ValueError(f"--constants must be at least 1, got {args.constants}")
+    counts = _parse_bumps(args.bumps)
     traj = _run_scenario(spec, args.strict_compat)
     trace = extract_trace(traj)
     sup_u = max(lp_norm(s.u, math.inf) for s in traj.snapshots)
     constants = np.linspace(-sup_u, sup_u, args.constants)
-    kt, kx = (int(v) for v in args.bumps.split(","))
     bumps = make_bump_family(
-        (0.0, spec.config.final_time), (0.0, spec.grid.length), (kt, kx)
+        (0.0, spec.config.final_time), (0.0, spec.grid.length), counts
     )
+    tolerances = [entropy_tolerance(phi, traj) for phi in bumps]
     rows = []
     all_pass = True
     for c in constants:
         pair = EntropyPair(c=float(c))
-        for bi, phi in enumerate(bumps):
+        for bi, (phi, tol) in enumerate(zip(bumps, tolerances)):
             r = entropy_residual(traj, pair, phi, trace)
-            tol = entropy_tolerance(phi, traj)
             ok = r >= -tol
             all_pass = all_pass and ok
             rows.append(
@@ -195,19 +208,14 @@ def _cmd_entropy(spec: ScenarioSpec, out: Path, args) -> int:
 
 def _cmd_stability(spec: ScenarioSpec, out: Path, args) -> int:
     base = _run_scenario(spec, args.strict_compat)
+    L = spec.grid.length
     bump = preset_initial(
         "bump-derivative",
-        {"a": args.delta, "x0": 2.5, "sigma": 0.5},
+        {"a": args.delta, "x0": L / 4.0, "sigma": L / 20.0},
         spec.grid,
     )
     perturbed_u0 = Field(spec.grid, spec.initial.values + bump.values)
-    pert = run(
-        perturbed_u0,
-        spec.boundary,
-        spec.config,
-        require_zero_mean=spec.conforming,
-        strict_compat=args.strict_compat,
-    )
+    pert = _run_scenario(replace(spec, initial=perturbed_u0), args.strict_compat)
     C = args.stability_C
     if C is None:
         C = default_stability_constant(base, pert)

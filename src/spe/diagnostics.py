@@ -275,7 +275,13 @@ def stability_compare(
     for su, sv in zip(traj_u.snapshots, traj_v.snapshots):
         lhs = windowed_l1(Field(grid, su.u.values - sv.u.values), window)
         expanded = min(window + C * su.t, grid.length)
-        rhs = math.exp(C * su.t) * windowed_l1(diff0, expanded) * (1.0 + slack)
+        try:
+            growth = math.exp(C * su.t)
+        except OverflowError:
+            raise ValueError(
+                f"stability bound e^(Ct) overflows at t={su.t:.6g} (C = {C:.6g})"
+            ) from None
+        rhs = growth * windowed_l1(diff0, expanded) * (1.0 + slack)
         rows.append((su.t, lhs, rhs))
         if lhs - rhs > worst_gap:
             worst_gap = lhs - rhs

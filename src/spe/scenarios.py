@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -61,9 +62,9 @@ def preset_initial(preset: str, params: dict, grid: Grid) -> Field:
         a = float(params.get("a", 1.0))
         x0 = float(params.get("x0", 2.0))
         sigma = float(params.get("sigma", 1.0))
-        if sigma <= 0.0:
+        if not sigma > 0.0:
             raise ValueError("sigma must be positive")
-        if x0 - sigma < 0.0 or x0 + sigma > grid.length / 2.0:
+        if not (x0 - sigma >= 0.0 and x0 + sigma <= grid.length / 2.0):
             raise ValueError(
                 "bump support must stay inside [0, L/2] (truncation safety)"
             )
@@ -74,10 +75,11 @@ def preset_initial(preset: str, params: dict, grid: Grid) -> Field:
         a = float(params.get("a", 0.5))
         x0 = float(params.get("x0", 1.0))
         w = float(params.get("w", 2.0))
-        m = int(params.get("m", 2))
-        if w <= 0.0 or m < 1:
-            raise ValueError("packet width must be positive, m >= 1")
-        if x0 < 0.0 or x0 + w > grid.length / 2.0:
+        m = params.get("m", 2)
+        if not (w > 0.0 and m >= 1 and float(m).is_integer()):
+            raise ValueError("packet width must be positive, m an integer >= 1")
+        m = int(m)
+        if not (x0 >= 0.0 and x0 + w <= grid.length / 2.0):
             raise ValueError(
                 "packet support must stay inside [0, L/2] (truncation safety)"
             )
@@ -106,7 +108,7 @@ def preset_boundary(preset: str, params: dict) -> BoundaryData:
             raise DataValidationError(
                 ["boundary datum must be essentially bounded: pulse amplitude is not finite"]
             )
-        if tau <= 0.0:
+        if not tau > 0.0:
             raise ValueError("pulse duration tau must be positive")
 
         def g(t: float, _a=a, _tau=tau) -> float:
@@ -170,10 +172,17 @@ _BLOCK_KEYS = {"grid": ("L", "n"), "time": ("T",), "initial": (), "boundary": ()
               "physical": ("k", "c2")}
 _NUMBER_KEYS = (("grid", "L"), ("grid", "n"), ("time", "T"), ("time", "cfl_safety"),
                ("physical", "k"), ("physical", "c2"), (None, "epsilon"))
+#: the most grid cells a scenario may ask for; a run holds about ten arrays
+#: of n + 1 floats, 80 MB each at this size
+MAX_CELLS = 10**7
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that float() takes: a float (inf and nan included) or
+    an integer no larger than the largest float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 def _schema_violations(doc) -> list:
@@ -202,6 +211,10 @@ def _schema_violations(doc) -> list:
         where = key if block is None else f"{block}.{key}"
         if key in holder and not _is_number(holder[key]):
             violations.append(f"'{where}' must be a number, got {holder[key]!r}")
+    n = blocks.get("grid", {}).get("n")
+    if _is_number(n) and not (float(n).is_integer() and 2 <= n <= MAX_CELLS):
+        violations.append(
+            f"'grid.n' must be an integer from 2 to {MAX_CELLS}, got {n!r}")
     for block in ("initial", "boundary"):
         if not isinstance(blocks.get(block, {}).get("file", ""), str):
             violations.append(f"'{block}.file' must be a path string")

@@ -119,7 +119,7 @@ class SolverConfig:
         if not (self.final_time > 0.0 and np.isfinite(self.final_time)):
             raise ValueError("final_time must be positive and finite")
         snaps = tuple(float(s) for s in self.snapshot_times)
-        if any(s < 0.0 or s > self.final_time + 1e-12 for s in snaps):
+        if not all(0.0 <= s <= self.final_time + 1e-12 for s in snaps):
             raise ValueError("snapshot times must lie in [0, final_time]")
         object.__setattr__(self, "snapshot_times", snaps)
 

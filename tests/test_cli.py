@@ -1,12 +1,18 @@
 """End-to-end subcommand tests on desk-size scenarios."""
 
+import copy
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spe.cli import main
-from spe.scenarios import builtin_scenario_path, load_scenario
+from spe.scenarios import builtin_scenario_path, load_scenario, parse_scenario
 from spe.scheme import run
 
 
@@ -147,6 +153,33 @@ class TestEntropyCheck:
         ])
         assert code == 0
 
+    def test_zero_constants_is_an_input_error(self, tmp_path):
+        # an empty (c, bump) table would pass vacuously
+        scenario = tiny_scenario(tmp_path)
+        out = tmp_path / "out"
+        code = main([
+            "entropy-check", "--scenario", str(scenario), "--out", str(out),
+            "--constants", "0",
+        ])
+        assert code == 2
+        assert not (out / "entropy.json").exists()
+        err = read_json(out / "error.json")
+        assert err["error"] == "ValueError"
+        assert "--constants" in err["message"]
+
+    @pytest.mark.parametrize("bumps", ["5", "2,0", "2,x", "1,2,3"])
+    def test_malformed_bumps_is_an_input_error(self, tmp_path, bumps):
+        scenario = tiny_scenario(tmp_path)
+        out = tmp_path / "out"
+        code = main([
+            "entropy-check", "--scenario", str(scenario), "--out", str(out),
+            "--bumps", bumps,
+        ])
+        assert code == 2
+        err = read_json(out / "error.json")
+        assert err["message"] == (
+            f"--bumps must be two positive integers kt,kx, got {bumps!r}")
+
 
 class TestStability:
     def test_paired_run(self, tmp_path):
@@ -168,6 +201,19 @@ class TestStability:
         assert code == 0
         doc = read_json(out / "stability.json")
         assert doc["detail"]["constant"] == 25.0
+
+    def test_short_domain(self, tmp_path):
+        # the perturbation scales with L, so it fits wherever the datum does
+        scenario = tiny_scenario(
+            tmp_path,
+            grid={"L": 5.0, "n": 128},
+            initial={"preset": "bump-derivative",
+                     "params": {"a": 1.0, "x0": 1.2, "sigma": 1.0}},
+        )
+        out = tmp_path / "out"
+        assert main(["solve", "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert main(["stability", "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert read_json(out / "stability.json")["verdict"] == "pass"
 
     @pytest.mark.parametrize("C", ["0", "-1"])
     def test_nonpositive_constant_is_an_input_error(self, tmp_path, C):
@@ -263,3 +309,115 @@ class TestErrors:
         err = read_json(out / "error.json")
         assert err["error"] == "BlowUpError"
         assert err["time"] == 0.0
+
+
+# Strings cannot name a path outside the working directory, nor any file or
+# directory in the repository.
+FUZZ_TEXT = st.text(alphabet="abxyz019 -_", max_size=6)
+#: awkward JSON numbers: zero, negative, not an integer, non-finite, beyond
+#: any float; none is a finite value above 2.5, so no drawn final time,
+#: viscosity or amplitude makes a run long
+AWKWARD_NUMBERS = [0, -1, 0.5, 2.5, 1e-3, math.nan, math.inf, -math.inf, 10**400]
+#: large finite numbers, for documents that are parsed but not run
+LARGE_NUMBERS = [64.5, 2**63, 1e300]
+#: replacement values for documents that are run: mostly awkward numbers
+RUN_VALUES = [None, True, "", "ab", [], {}] + AWKWARD_NUMBERS
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | FUZZ_TEXT | st.sampled_from(AWKWARD_NUMBERS)
+    | st.integers(-10**4, 10**4) | st.floats(-1e4, 1e4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(FUZZ_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+DELETE = object()
+#: every key of a scenario document, as a path from the top
+SCENARIO_PATHS = [
+    (), ("name",), ("grid",), ("grid", "L"), ("grid", "n"), ("time",), ("time", "T"),
+    ("time", "cfl_safety"), ("time", "snapshots"), ("epsilon",), ("scheme",),
+    ("source_enabled",), ("allow_nonconforming",), ("physical",),
+    ("physical", "k"), ("physical", "c2"),
+] + [
+    (block, *rest)
+    for block in ("initial", "boundary")
+    for rest in [(), ("preset",), ("params",), ("file",)]
+    + [("params", key) for key in ("a", "x0", "sigma", "w", "m", "left",
+                                   "right", "jump", "tau")]
+]
+INITIAL_BLOCKS = [
+    {"preset": "bump-derivative", "params": {"a": 1.0, "x0": 2.0, "sigma": 1.0}},
+    {"preset": "sine-packet", "params": {"a": 0.5, "x0": 1.0, "w": 2.0, "m": 2}},
+    {"preset": "riemann-test", "params": {"left": 1.0, "right": 0.0, "jump": 0.5}},
+]
+BOUNDARY_BLOCKS = [
+    {"preset": "zero"},
+    {"preset": "pulse", "params": {"a": 0.5, "tau": 1.0}},
+    {"preset": "constant", "params": {"a": 0.0}},
+]
+
+
+@st.composite
+def scenario_docs(draw, values, max_edits):
+    """A valid tiny scenario (n <= 64, T <= 0.05) with one to ``max_edits``
+    of its keys deleted or set to a drawn value; the empty path stands for
+    the whole document."""
+    initial = draw(st.sampled_from(INITIAL_BLOCKS))
+    riemann = initial["preset"] == "riemann-test"
+    T = draw(st.floats(0.005, 0.05))
+    doc = {
+        "name": "fuzz",
+        "grid": {"L": 10.0, "n": draw(st.integers(8, 64))},
+        "time": {"T": T, "cfl_safety": 0.9, "snapshots": [T / 2]},
+        "epsilon": 0.0 if riemann else 0.01,
+        "scheme": "explicit" if riemann else "imex",
+        "initial": copy.deepcopy(initial),
+        "boundary": copy.deepcopy(draw(st.sampled_from(BOUNDARY_BLOCKS))),
+        "physical": {"k": 1.0, "c2": 1.0},
+    }
+    if riemann:
+        doc.update(source_enabled=False, allow_nonconforming=True)
+    edits = draw(st.lists(
+        st.tuples(st.sampled_from(SCENARIO_PATHS), st.just(DELETE) | values),
+        min_size=1, max_size=max_edits))
+    for path, value in edits:
+        if not path:
+            return {} if value is DELETE else value
+        holder = doc
+        for key in path[:-1]:
+            holder = holder.get(key) if isinstance(holder, dict) else None
+        if not isinstance(holder, dict):
+            continue
+        if value is DELETE:
+            holder.pop(path[-1], None)
+        else:
+            holder[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+@pytest.mark.filterwarnings("ignore")  # compatibility and overflow warnings
+class TestInputContract:
+    """Any scenario document either loads or is rejected as bad input."""
+
+    @given(scenario_docs(
+        st.sampled_from(AWKWARD_NUMBERS + LARGE_NUMBERS) | JSON_VALUES, max_edits=3))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_scenario_raises_only_input_errors(self, doc):
+        try:
+            parse_scenario(doc)
+        except (ValueError, OSError):
+            pass  # the command line reports these with exit 2 and error.json
+
+    @given(
+        subcommand=st.sampled_from(
+            ["solve", "invariants", "entropy-check", "stability", "sweep", "scale"]),
+        doc=scenario_docs(st.sampled_from(RUN_VALUES), max_edits=2),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_exit_codes_and_error_record(self, subcommand, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario = Path(tmp) / "scenario.json"
+            scenario.write_text(json.dumps(doc))
+            out = Path(tmp) / "out"
+            code = main([subcommand, "--scenario", str(scenario), "--out", str(out)])
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert (out / "error.json").exists()

@@ -142,6 +142,11 @@ class TestStabilityCompare:
         with pytest.raises(ValueError):
             stability_compare(s1_traj, s1_traj, window=4.0, C=0.0)
 
+    def test_overflowing_growth_factor_is_an_input_error(self, s1_traj):
+        # e^(Ct) beyond the largest float: a typed error, not OverflowError
+        with pytest.raises(ValueError, match="overflows"):
+            stability_compare(s1_traj, s1_traj, window=4.0, C=1e4)
+
     def test_mismatched_grids_rejected(self, s1_traj, s1_traj_1000):
         with pytest.raises(ValueError):
             stability_compare(s1_traj, s1_traj_1000, window=4.0, C=5.0)

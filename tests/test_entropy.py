@@ -1,12 +1,13 @@
 """Entropy pair algebra, test-function families, trace extraction, and the
 inequality evaluator."""
 
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spe.entropy import TestFunction as SeparableBump
@@ -300,3 +301,113 @@ class TestEntropyResidual:
         )
         assert tol == pytest.approx(10.0 * (dx + dt) * scale, rel=1e-12)
         assert tol > 0.0
+
+
+def full_grid_residual(traj, c, phi, trace):
+    """The inequality's left-hand side summed over every snapshot-grid point,
+    with the same global trapezoid weights as the support-box quadrature."""
+    grid = traj.config.grid
+    times = np.array([s.t for s in traj.snapshots])
+    xs = grid.nodes
+    U = np.stack([s.u.values for s in traj.snapshots])
+    wt = np.zeros_like(times)
+    dt = np.diff(times)
+    wt[:-1] += 0.5 * dt
+    wt[1:] += 0.5 * dt
+    wx = np.full_like(xs, grid.dx)
+    wx[0] *= 0.5
+    wx[-1] *= 0.5
+    W = np.outer(wt, wx)
+    sgn = np.sign(U - c)
+    interior = np.sum(
+        W * (np.abs(U - c) * phi.dphi_dt(times, xs)
+             + sgn * (U**3 - c**3) * phi.dphi_dx(times, xs))
+    )
+    source = 0.0
+    if traj.config.include_source:
+        P = np.stack([s.P.values for s in traj.snapshots])
+        source = np.sum(W * sgn * P * phi.phi(times, xs))
+    g_vals = np.array([traj.g(t) for t in times])
+    boundary = np.sum(
+        wt * np.sign(g_vals - c) * (trace.u_trace**3 - c**3)
+        * phi.phi(times, np.array([0.0]))[:, 0]
+    )
+    initial = np.sum(
+        wx * np.abs(traj.initial.u.values - c) * phi.phi(np.array([0.0]), xs)[0]
+    )
+    return float(interior + source + boundary + initial)
+
+
+def full_grid_tolerance(phi, traj):
+    times = np.array([s.t for s in traj.snapshots])
+    xs = traj.config.grid.nodes
+    dt_snap = float(np.max(np.diff(times)))
+    scale = max(
+        float(np.max(np.abs(phi.phi(times, xs)))),
+        float(np.max(np.abs(phi.dphi_dt(times, xs)))),
+        float(np.max(np.abs(phi.dphi_dx(times, xs)))),
+    )
+    return 10.0 * (traj.config.grid.dx + dt_snap) * scale
+
+
+@functools.cache
+def box_trajectory():
+    """Signed, sourced, unevenly sampled data with a nonzero boundary datum
+    (n = 300, 17 snapshot times)."""
+    grid = make_uniform_grid(6.0, 300)
+    rng = np.random.default_rng(11)
+    times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 15)), [1.0]))
+    xs = grid.nodes
+    profiles = [
+        np.sin(1.3 * xs - 2.0 * t) * np.exp(-0.3 * xs) + 0.2 * np.cos(4.0 * xs + t)
+        for t in times
+    ]
+    g = BoundaryData(g=lambda t: 0.4 * math.cos(3.0 * t), sup_bound=0.4)
+    traj = synthetic_trajectory(grid, times, profiles, g, eps=0.01)
+    return traj, extract_trace(traj)
+
+
+class TestSupportBoxQuadrature:
+    """The residual and the tolerance sum over each bump's support box only;
+    the points left out hold exact zeros of phi, phi_t and phi_x."""
+
+    @given(
+        c=st.floats(-1.5, 1.5),
+        kt=st.integers(1, 6),
+        kx=st.integers(1, 6),
+        t_end=st.floats(0.3, 1.0),
+        x_end=st.floats(1.0, 6.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_full_grid_quadrature(self, c, kt, kx, t_end, x_end):
+        traj, trace = box_trajectory()
+        times = np.array([s.t for s in traj.snapshots])
+        xs = traj.config.grid.nodes
+        # edge tiles start on t = 0 and x = 0; every other tile edge lies
+        # off the snapshot times and the nodes
+        t_edges = np.arange(1, kt + 1) * (t_end / kt)
+        x_edges = np.arange(1, kx + 1) * (x_end / kx)
+        assume(np.min(np.abs(times[:, None] - t_edges)) > 1e-9)
+        assume(np.min(np.abs(xs[:, None] - x_edges)) > 1e-9)
+        family = make_bump_family((0.0, t_end), (0.0, x_end), (kt, kx))
+        for phi in family:
+            ref = full_grid_residual(traj, c, phi, trace)
+            r = entropy_residual(traj, EntropyPair(c=c), phi, trace)
+            assert abs(r - ref) <= 1e-13 * (1.0 + abs(ref))
+            assert entropy_tolerance(phi, traj) == full_grid_tolerance(phi, traj)
+
+    @pytest.mark.parametrize("name", ["s1_traj", "riemann_traj"])
+    def test_tile_edges_on_grid_points(self, request, name):
+        # the command line's tiling of [0, T] x [0, L] puts tile edges on
+        # snapshot times and nodes, up to rounding
+        traj = request.getfixturevalue(name)
+        trace = extract_trace(traj)
+        family = make_bump_family(
+            (0.0, traj.config.final_time), (0.0, traj.config.grid.length), (5, 5)
+        )
+        for phi in family:
+            assert entropy_tolerance(phi, traj) == full_grid_tolerance(phi, traj)
+            for c in (-0.4, 0.0, 0.7):
+                ref = full_grid_residual(traj, c, phi, trace)
+                r = entropy_residual(traj, EntropyPair(c=c), phi, trace)
+                assert abs(r - ref) <= 1e-13 * (1.0 + abs(ref))

@@ -50,6 +50,17 @@ class TestPresetInitial:
         with pytest.raises(ValueError):
             preset_initial("gaussian", {}, GRID)
 
+    @pytest.mark.parametrize("preset, params", [
+        ("bump-derivative", {"sigma": math.nan}),
+        ("bump-derivative", {"x0": math.nan}),
+        ("sine-packet", {"m": math.inf}),
+        ("sine-packet", {"m": 2.5}),
+    ])
+    def test_nonfinite_or_fractional_parameters_rejected(self, preset, params):
+        # every comparison with nan is false: checks are written so that it fails
+        with pytest.raises(ValueError):
+            preset_initial(preset, params, GRID)
+
 
 class TestPresetBoundary:
     def test_zero(self):
@@ -71,6 +82,10 @@ class TestPresetBoundary:
     def test_unknown(self):
         with pytest.raises(ValueError):
             preset_boundary("ramp", {})
+
+    def test_nan_duration_rejected(self):
+        with pytest.raises(ValueError, match="tau"):
+            preset_boundary("pulse", {"a": 0.5, "tau": math.nan})
 
 
 class TestLoadScenario:
@@ -134,10 +149,20 @@ class TestLoadScenario:
          "'boundary.params' must be a JSON object of numbers"),
         ({"physical": {"k": 1.0}}, "missing required key 'physical.c2'"),
         ({"initial": {"file": 5}}, "'initial.file' must be a path string"),
+        ({"grid": {"L": 10.0, "n": 64.5}}, "'grid.n' must be an integer"),
+        ({"grid": {"L": 10.0, "n": 2**63}}, "'grid.n' must be an integer"),
+        ({"grid": {"L": 10.0, "n": math.inf}}, "'grid.n' must be an integer"),
+        ({"grid": {"L": 10**400, "n": 64}}, "'grid.L' must be a number"),
     ])
     def test_schema_violations_reported(self, s1_spec, change, match):
         with pytest.raises(DataValidationError, match=match):
             parse_scenario({**s1_spec.raw, **change})
+
+    def test_nan_snapshot_time_rejected(self, s1_spec):
+        # a nan snapshot would never be reached, and every later one skipped
+        doc = {**s1_spec.raw, "time": {"T": 1.0, "snapshots": [math.nan, 0.5]}}
+        with pytest.raises(ValueError, match="snapshot times"):
+            parse_scenario(doc)
 
     def test_builtin_paths_exist(self):
         for name in ("s1", "s2", "riemann"):
