@@ -28,7 +28,6 @@ import numpy as np
 
 from .diagnostics import (
     CheckRecord,
-    DiagnosticsReport,
     default_stability_constant,
     energy_l4_p2_check,
     epsilon_sweep,
@@ -47,7 +46,7 @@ from .entropy import (
     make_bump_family,
 )
 from .errors import BlowUpError, DataValidationError
-from .fields import Field, lp_norm, mean
+from .fields import Field, lp_norm
 from .scenarios import ScenarioSpec, load_scenario, preset_initial
 from .scheme import Trajectory, run
 
@@ -112,13 +111,13 @@ def _cmd_solve(spec: ScenarioSpec, out: Path, args) -> int:
             "scenario": spec.name,
             "verdict": "completed",
             "steps": int(len(traj.step_log)),
-            "snapshot_times": [s.t for s in traj.snapshots],
+            "snapshot_times": traj.times.tolist(),
         },
     )
     return 0
 
 
-def _invariant_records(spec: ScenarioSpec, traj: Trajectory) -> DiagnosticsReport:
+def _invariant_records(spec: ScenarioSpec, traj: Trajectory) -> tuple:
     res = mean_residual(traj)
     worst = int(np.argmax(res))
     mean_rec = CheckRecord(
@@ -127,7 +126,7 @@ def _invariant_records(spec: ScenarioSpec, traj: Trajectory) -> DiagnosticsRepor
         measured=float(res[worst]),
         bound=0.0,
         tolerance=MEAN_TOL_FACTOR * lp_norm(traj.initial.u, 1),
-        detail={"worst_time": float(traj.snapshots[worst].t)},
+        detail={"worst_time": float(traj.times[worst])},
     )
     sup_g = float(np.max(np.abs(traj.boundary_series[:, 1])))
     bal_tol = BALANCE_TOL_FACTOR * spec.grid.dx * (
@@ -141,22 +140,15 @@ def _invariant_records(spec: ScenarioSpec, traj: Trajectory) -> DiagnosticsRepor
         bound=0.0,
         tolerance=bal_tol,
     )
-    return DiagnosticsReport(
-        records=(
-            mean_rec,
-            bal_rec,
-            energy_l4_p2_check(traj),
-            p_infty_check(traj),
-            linfty_check(traj),
-        )
-    )
+    return (mean_rec, bal_rec, energy_l4_p2_check(traj), p_infty_check(traj),
+            linfty_check(traj))
 
 
 def _cmd_invariants(spec: ScenarioSpec, out: Path, args) -> int:
     traj = _run_scenario(spec, args.strict_compat)
-    report = _invariant_records(spec, traj)
-    write_json(out / "report.json", report.as_list())
-    return 0 if report.all_pass else 1
+    records = _invariant_records(spec, traj)
+    write_json(out / "report.json", [r.as_dict() for r in records])
+    return 0 if all(r.verdict == "pass" for r in records) else 1
 
 
 def _parse_bumps(text: str) -> tuple:
@@ -266,8 +258,16 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a malformed command line as a ValueError, so that ``main``
+    reports it like any other bad input; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="spe",
         description="Short pulse equation solver and estimate verifier",
     )
@@ -293,10 +293,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _named_out(argv) -> Path:
+    """The --out directory a command line names, or spe-out/."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--out", nargs="?")
+    return Path(parser.parse_known_args(argv)[0].out or "spe-out")
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    out = Path(args.out) if args.out else Path("spe-out") / args.subcommand
+    out = None
     try:
+        args = build_parser().parse_args(argv)
+        out = Path(args.out) if args.out else Path("spe-out") / args.subcommand
         spec = load_scenario(args.scenario)
         if not spec.conforming and args.subcommand != "entropy-check":
             raise DataValidationError(
@@ -305,6 +313,8 @@ def main(argv=None) -> int:
             )
         return _COMMANDS[args.subcommand](spec, out, args)
     except (DataValidationError, BlowUpError, ValueError, OSError) as exc:
+        if out is None:  # the command line itself is malformed
+            out = _named_out(argv)
         record = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, DataValidationError):
             record["violations"] = exc.violations

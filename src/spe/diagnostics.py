@@ -19,7 +19,6 @@ from .scheme import BoundaryData, SolverConfig, Trajectory, run
 
 __all__ = [
     "CheckRecord",
-    "DiagnosticsReport",
     "PhysicalScaling",
     "scaling_constants",
     "mean_residual",
@@ -42,7 +41,6 @@ class CheckRecord:
     measured: float
     bound: float
     tolerance: float
-    refinement_slope: float | None = None
     detail: dict = field(default_factory=dict)
 
     @property
@@ -63,25 +61,9 @@ class CheckRecord:
             "tolerance": self.tolerance,
             "verdict": self.verdict,
         }
-        if self.refinement_slope is not None:
-            out["refinement_slope"] = self.refinement_slope
         if self.detail:
             out["detail"] = self.detail
         return out
-
-
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """Ordered collection of check records."""
-
-    records: tuple
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.verdict == "pass" for r in self.records)
-
-    def as_list(self) -> list:
-        return [r.as_dict() for r in self.records]
 
 
 @dataclass(frozen=True)
@@ -143,10 +125,15 @@ def _cumulative_g_power(traj: Trajectory, power: int) -> np.ndarray:
 
 def _at_snapshot_times(traj: Trajectory, series: np.ndarray) -> np.ndarray:
     times = traj.boundary_series[:, 0]
-    snap_t = np.array([s.t for s in traj.snapshots])
-    idx = np.searchsorted(times, snap_t - 1e-12)
+    idx = np.searchsorted(times, traj.times - 1e-12)
     idx = np.clip(idx, 0, len(times) - 1)
     return series[idx]
+
+
+def _worst(lhs, rhs) -> int:
+    """Index of the first largest lhs - rhs: where a bound comes closest to
+    failing, or fails by the most."""
+    return int(np.argmax(np.subtract(lhs, rhs)))
 
 
 def energy_l4_p2_check(traj: Trajectory, tol: float = 1e-8) -> CheckRecord:
@@ -156,19 +143,16 @@ def energy_l4_p2_check(traj: Trajectory, tol: float = 1e-8) -> CheckRecord:
     roundoff guard: on the shipped scenarios the energy is dissipated and the
     measured violation is <= 0 at every resolution tried (n = 500..4000).
     """
-    E = np.array(
-        [0.5 * lp_norm(s.u, 4) ** 4 + lp_norm(s.P, 2) ** 2 for s in traj.snapshots]
-    )
-    g6 = 8.0 * _at_snapshot_times(traj, _cumulative_g_power(traj, 6))
-    violations = E - (E[0] + g6)
-    worst = int(np.argmax(violations))
+    E = [0.5 * lp_norm(s.u, 4) ** 4 + lp_norm(s.P, 2) ** 2 for s in traj.snapshots]
+    bound = E[0] + 8.0 * _at_snapshot_times(traj, _cumulative_g_power(traj, 6))
+    worst = _worst(E, bound)
     return CheckRecord(
         name="energy-l4-p2",
         tag="fourth-power-plus-primitive-energy",
-        measured=float(E[worst]),
-        bound=float(E[0] + g6[worst]),
+        measured=E[worst],
+        bound=float(bound[worst]),
         tolerance=tol,
-        detail={"worst_time": float(traj.snapshots[worst].t)},
+        detail={"worst_time": float(traj.times[worst])},
     )
 
 
@@ -178,22 +162,16 @@ def p_infty_check(traj: Trajectory, tol: float = 1e-10) -> CheckRecord:
     Holds exactly for the running-trapezoid primitive (midpoint sums are
     dominated by the trapezoid norms), so the tolerance only covers roundoff.
     """
-    worst_lhs = worst_rhs = -math.inf
-    worst_t = 0.0
-    worst_gap = -math.inf
-    for s in traj.snapshots:
-        lhs = lp_norm(s.P, math.inf) ** 2
-        rhs = 2.0 * lp_norm(s.P, 2) * lp_norm(s.u, 2)
-        if lhs - rhs > worst_gap:
-            worst_gap = lhs - rhs
-            worst_lhs, worst_rhs, worst_t = lhs, rhs, s.t
+    lhs = [lp_norm(s.P, math.inf) ** 2 for s in traj.snapshots]
+    rhs = [2.0 * lp_norm(s.P, 2) * lp_norm(s.u, 2) for s in traj.snapshots]
+    worst = _worst(lhs, rhs)
     return CheckRecord(
         name="p-sup-bound",
         tag="primitive-sup-cauchy-schwarz",
-        measured=worst_lhs,
-        bound=worst_rhs,
+        measured=lhs[worst],
+        bound=rhs[worst],
         tolerance=tol,
-        detail={"worst_time": worst_t},
+        detail={"worst_time": float(traj.times[worst])},
     )
 
 
@@ -207,21 +185,15 @@ def linfty_check(traj: Trajectory, tol: float = 1e-8) -> CheckRecord:
         lp_norm(traj.initial.u, math.inf),
         float(np.max(np.abs(traj.boundary_series[:, 1]))),
     )
-    p_running = -math.inf
-    worst_gap = -math.inf
-    worst = (0.0, base)
-    for s in traj.snapshots:
-        p_running = max(p_running, lp_norm(s.P, math.inf))
-        lhs = lp_norm(s.u, math.inf)
-        rhs = base + s.t * p_running
-        if lhs - rhs > worst_gap:
-            worst_gap = lhs - rhs
-            worst = (lhs, rhs)
+    p_running = np.maximum.accumulate([lp_norm(s.P, math.inf) for s in traj.snapshots])
+    lhs = [lp_norm(s.u, math.inf) for s in traj.snapshots]
+    rhs = base + traj.times * p_running
+    worst = _worst(lhs, rhs)
     return CheckRecord(
         name="u-sup-barrier",
         tag="sup-norm-comparison-barrier",
-        measured=worst[0],
-        bound=worst[1],
+        measured=lhs[worst],
+        bound=float(rhs[worst]),
         tolerance=tol,
     )
 
@@ -232,10 +204,7 @@ def default_stability_constant(traj_u: Trajectory, traj_v: Trajectory) -> float:
     3M^2 bounds the characteristic speed; the unit margin covers the source,
     which is 1-Lipschitz in u through dP/dx = u.
     """
-    M = 0.0
-    for traj in (traj_u, traj_v):
-        for s in traj.snapshots:
-            M = max(M, lp_norm(s.u, math.inf))
+    M = max(lp_norm(s.u, math.inf) for traj in (traj_u, traj_v) for s in traj.snapshots)
     return 3.0 * M * M + 1.0
 
 
@@ -259,18 +228,13 @@ def stability_compare(
         raise ValueError("window must lie inside the domain")
     if C <= 0.0:
         raise ValueError("stability constant must be positive")
-    t_u = [s.t for s in traj_u.snapshots]
-    t_v = [s.t for s in traj_v.snapshots]
-    if len(t_u) != len(t_v) or any(
-        abs(a - b) > 1e-10 for a, b in zip(t_u, t_v)
-    ):
+    t_u, t_v = traj_u.times, traj_v.times
+    if len(t_u) != len(t_v) or np.any(np.abs(t_u - t_v) > 1e-10):
         raise ValueError("trajectories must share snapshot times")
 
     diff0 = Field(
         grid, traj_u.initial.u.values - traj_v.initial.u.values
     )
-    worst_gap = -math.inf
-    worst = (0.0, 0.0, 0.0)
     rows = []
     for su, sv in zip(traj_u.snapshots, traj_v.snapshots):
         lhs = windowed_l1(Field(grid, su.u.values - sv.u.values), window)
@@ -283,19 +247,18 @@ def stability_compare(
             ) from None
         rhs = growth * windowed_l1(diff0, expanded) * (1.0 + slack)
         rows.append((su.t, lhs, rhs))
-        if lhs - rhs > worst_gap:
-            worst_gap = lhs - rhs
-            worst = (su.t, lhs, rhs)
+    times, lhs, rhs = zip(*rows)
+    worst = _worst(lhs, rhs)
     return CheckRecord(
         name="l1-stability",
         tag="weighted-l1-contraction-cone",
-        measured=worst[1],
-        bound=worst[2],
+        measured=lhs[worst],
+        bound=rhs[worst],
         tolerance=0.0,
         detail={
             "constant": C,
             "window": window,
-            "worst_time": worst[0],
+            "worst_time": times[worst],
             "series": [list(r) for r in rows],
         },
     )
@@ -312,11 +275,11 @@ def epsilon_sweep(
 
     Runs the solver for each viscosity and measures the L1 distance between
     consecutive final states; the sequence must be nonincreasing within the
-    given slack.
+    given slack, so it takes at least three viscosities.
     """
     eps_list = [float(e) for e in epsilons]
-    if len(eps_list) < 2:
-        raise ValueError("need at least two viscosity values")
+    if len(eps_list) < 3:
+        raise ValueError("need at least three viscosity values")
     if any(e <= 0.0 for e in eps_list):
         raise ValueError("viscosity values must be positive")
     if not all(b < a for a, b in zip(eps_list, eps_list[1:])):
@@ -332,17 +295,14 @@ def epsilon_sweep(
         lp_norm(Field(grid, a.values - b.values), 1)
         for a, b in zip(finals, finals[1:])
     ]
-    worst_gap = -math.inf
-    worst = (0.0, 0.0)
-    for prev, nxt in zip(dists, dists[1:]):
-        if nxt - (1.0 + slack) * prev > worst_gap:
-            worst_gap = nxt - (1.0 + slack) * prev
-            worst = (nxt, (1.0 + slack) * prev)
+    later = np.array(dists[1:])
+    bound = (1.0 + slack) * np.array(dists[:-1])
+    worst = _worst(later, bound)
     return CheckRecord(
         name="viscosity-cauchy",
         tag="vanishing-viscosity-l1-cauchy",
-        measured=worst[0],
-        bound=worst[1],
+        measured=float(later[worst]),
+        bound=float(bound[worst]),
         tolerance=0.0,
         detail={"epsilons": eps_list, "l1_differences": dists},
     )

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import _trapezoid_weights
 from .scheme import Trajectory
 
 __all__ = [
@@ -40,7 +41,7 @@ __all__ = [
 
 def kruzhkov_flux(u, c):
     """sgn(u - c) * (u^3 - c^3), with sgn(0) = 0.  Works on scalars and arrays."""
-    return np.sign(u - c) * (u**3 - c**3)
+    return np.sign(u - c) * (u * u * u - c**3)
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ def extract_trace(traj: Trajectory) -> TraceRecord:
     For viscous runs this equals g(t) + dx * du/dx(t,0) + O(dx^2); the
     Dirichlet node itself is pinned to g and carries no interior information.
     """
-    times = np.array([s.t for s in traj.snapshots])
+    times = traj.times
     vals = np.array([float(s.u.values[1]) for s in traj.snapshots])
     return TraceRecord(times=times, u_trace=vals)
 
@@ -203,7 +204,7 @@ def entropy_tolerance(phi: TestFunction, traj: Trajectory) -> float:
     the exact moving-shock solution of the source-free cubic conservation
     law (see the acceptance suite).
     """
-    times = np.array([s.t for s in traj.snapshots])
+    times = traj.times
     xs = traj.config.grid.nodes
     dt_snap = float(np.max(np.diff(times)))
     dx = traj.config.grid.dx
@@ -241,7 +242,7 @@ def entropy_residual(
     ):
         raise ValueError("test function support exceeds the computed domain")
 
-    times = np.array([s.t for s in traj.snapshots])
+    times = traj.times
     if len(trace.times) != len(times) or not np.allclose(
         trace.times, times, atol=1e-10
     ):
@@ -251,29 +252,23 @@ def entropy_residual(
 
     # trapezoid weights in t (general spacing) and x (uniform) of the whole
     # grid; the sums run over phi's support box only
-    wt = np.zeros_like(times)
-    dt = np.diff(times)
-    wt[:-1] += 0.5 * dt
-    wt[1:] += 0.5 * dt
-    wx = np.full_like(xs, grid.dx)
-    wx[0] *= 0.5
-    wx[-1] *= 0.5
+    wt = _trapezoid_weights(np.diff(times), len(times))
+    wx = _trapezoid_weights(grid.dx, len(xs))
     rows, cols = _support_box(phi, times, xs)
     times, xs, wt, wx = times[rows], xs[cols], wt[rows], wx[cols]
     snaps = traj.snapshots[rows]
     W = np.outer(wt, wx)
 
     U = np.stack([s.u.values[cols] for s in snaps])
-    sgn = np.sign(U - c)
     interior = np.sum(
         W * (np.abs(U - c) * phi.dphi_dt(times, xs)
-             + sgn * (U * U * U - c**3) * phi.dphi_dx(times, xs))
+             + kruzhkov_flux(U, c) * phi.dphi_dx(times, xs))
     )
 
     source = 0.0
     if traj.config.include_source:
         P = np.stack([s.P.values[cols] for s in snaps])
-        source = np.sum(W * sgn * P * phi.phi(times, xs))
+        source = np.sum(W * np.sign(U - c) * P * phi.phi(times, xs))
 
     g_vals = np.array([traj.g(t) for t in times])
     phi_t0 = phi.phi(times, np.array([0.0]))[:, 0]

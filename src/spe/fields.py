@@ -82,10 +82,6 @@ class Field:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
-
-    @classmethod
     def zeros(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.node_count))
 
@@ -93,6 +89,17 @@ class Field:
 def _trapz(values: np.ndarray, dx: float) -> float:
     # composite trapezoid with half weights at both ends
     return float(dx * (0.5 * values[0] + values[1:-1].sum() + 0.5 * values[-1]))
+
+
+def _trapezoid_weights(spacing: float | np.ndarray, count: int) -> np.ndarray:
+    """Weights of the composite trapezoid rule on ``count`` points: each
+    spacing gives half of itself to both of its ends.  ``spacing`` is the
+    uniform spacing or the array of the count - 1 spacings."""
+    half = 0.5 * np.asarray(spacing, dtype=float)
+    w = np.zeros(count)
+    w[:-1] += half
+    w[1:] += half
+    return w
 
 
 def _running_trapezoid(

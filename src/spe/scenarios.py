@@ -32,10 +32,6 @@ __all__ = [
     "builtin_scenario_path",
 ]
 
-INITIAL_PRESETS = ("bump-derivative", "sine-packet", "riemann-test")
-BOUNDARY_PRESETS = ("zero", "pulse", "constant")
-
-
 def _centered_difference(profile: np.ndarray, dx: float) -> np.ndarray:
     out = np.zeros_like(profile)
     out[1:-1] = (profile[2:] - profile[:-2]) / (2.0 * dx)

@@ -22,10 +22,10 @@ on the zero-mean manifold that the half-line theory lives on:
 
 Advection uses first-order left-biased upwinding on the conservative flux
 u^3 (the characteristic speed 3u^2 is never negative, so information always
-enters from the boundary side).  Diffusion is integrated implicitly
-(backward Euler; the tridiagonal matrix is symmetric positive definite and
-is solved by LAPACK ``dptsv``) in the default IMEX mode and explicitly in
-the fully-explicit mode.
+enters from the boundary side).  Diffusion (eps > 0, scheme "imex") is
+backward Euler; the tridiagonal matrix is symmetric positive definite and is
+solved by LAPACK ``dptsv``.  The inviscid scheme "explicit" (eps = 0) has no
+diffusion stage.
 
 ``run`` advances a ``Workspace``: the current u and P plus scratch arrays,
 allocated once per run, that ``step`` overwrites in place.  ``Field`` and
@@ -110,10 +110,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.eps < 0.0 or not np.isfinite(self.eps):
             raise ValueError("viscosity eps must be finite and >= 0")
-        if self.scheme not in ("imex", "explicit"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.eps == 0.0 and self.scheme != "explicit":
-            raise ValueError("eps = 0 is only supported with the explicit scheme")
+        if self.scheme != ("explicit" if self.eps == 0.0 else "imex"):
+            raise ValueError(f"scheme {self.scheme!r} does not fit eps = {self.eps:g}: "
+                             "eps = 0 is 'explicit' and eps > 0 is 'imex'")
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ValueError("cfl_safety must lie in (0, 1]")
         if not (self.final_time > 0.0 and np.isfinite(self.final_time)):
@@ -157,6 +156,11 @@ class Trajectory:
     def final(self) -> State:
         return self.snapshots[-1]
 
+    @property
+    def times(self) -> np.ndarray:
+        """The snapshot times, in order."""
+        return np.array([s.t for s in self.snapshots])
+
 
 @functools.lru_cache(maxsize=32)
 def _projection_weight(grid: Grid) -> np.ndarray:
@@ -180,8 +184,8 @@ def _grad_sq(values: np.ndarray, dx: float, scratch: np.ndarray) -> float:
     gr = scratch
     np.subtract(values[2:], values[:-2], out=gr[1:-1])
     gr[1:-1] /= 2.0 * dx
-    gr[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dx)
-    gr[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dx)
+    gr[0] = _one_sided_gradient(values, dx)
+    gr[-1] = -_one_sided_gradient(values[::-1], dx)  # mirror image at x = L
     np.multiply(gr, gr, out=gr)
     return _trapz(gr, dx)
 
@@ -201,8 +205,6 @@ def _cfl_dt(u: np.ndarray, t: float, config: SolverConfig) -> float:
         raise BlowUpError(
             t, f"characteristic speed 3 max u^2 is not finite at t={t:.6g}")
     dt = config.cfl_safety * dx / speed
-    if config.scheme == "explicit" and config.eps > 0.0:
-        dt = min(dt, config.cfl_safety * dx * dx / (2.0 * config.eps))
     remaining = config.final_time - t
     return float(min(dt, remaining))
 
@@ -210,9 +212,8 @@ def _cfl_dt(u: np.ndarray, t: float, config: SolverConfig) -> float:
 def stable_dt(state: State, config: SolverConfig) -> float:
     """CFL-limited time step, capped at the time remaining to final_time.
 
-    Advective limit dx / max(3u^2, floor); the explicit scheme adds the
-    diffusive limit dx^2 / (2 eps).  Both carry the cfl_safety factor.
-    Raises ``BlowUpError`` when the speed 3 max u^2 overflows.
+    Advective limit cfl_safety * dx / max(3u^2, floor); diffusion is implicit
+    and adds none.  Raises ``BlowUpError`` when the speed 3 max u^2 overflows.
     """
     return _cfl_dt(state.u.values, state.t, config)
 
@@ -279,12 +280,11 @@ def step(
 ) -> State | None:
     """Advance one time level.
 
-    IMEX: explicit upwind advection and explicit gauged source, implicit
-    backward-Euler diffusion, Dirichlet enforcement u(0) = g(t+dt) and
-    u(L) = 0, zero-mean re-projection, then P is recomputed from the new u
-    and the boundary gradient refreshed with the one-sided three-point
-    formula.  The fully-explicit scheme treats diffusion by forward Euler
-    under its own CFL limit.
+    Explicit upwind advection and explicit gauged source, implicit
+    backward-Euler diffusion when eps > 0, Dirichlet enforcement
+    u(0) = g(t+dt) and u(L) = 0, zero-mean re-projection, then P is
+    recomputed from the new u and the boundary gradient refreshed with the
+    one-sided three-point formula.
 
     Given a ``state``, returns the next State.  Given ``workspace`` instead
     (and ``state=None``), advances the workspace in place and returns None;
@@ -320,7 +320,7 @@ def step(
             new *= -dt
         new += u
 
-        if config.scheme == "imex" and config.eps > 0.0:
+        if config.eps > 0.0:
             # (I - r D2) u = ustar on interior nodes; the Dirichlet value
             # g_new enters the right-hand side (the right one is 0).  The
             # slice is contiguous float64, so dptsv solves in place into it.
@@ -333,14 +333,6 @@ def step(
                          overwrite_d=1, overwrite_e=1, overwrite_b=1)[3]
             if info != 0:
                 raise BlowUpError(t_new, f"diffusion solve failed (dptsv info={info})")
-        elif config.eps > 0.0:
-            lap = scratch[1:-1]
-            np.multiply(u[1:-1], 2.0, out=lap)
-            np.subtract(u[2:], lap, out=lap)
-            lap += u[:-2]
-            lap /= dx * dx
-            lap *= config.eps * dt
-            new[1:-1] += lap
         new[0] = g_new
         new[-1] = 0.0
 

@@ -243,6 +243,18 @@ class TestSweep:
         doc = read_json(out / "sweep.json")
         assert len(doc["detail"]["l1_differences"]) == 2
 
+    def test_two_viscosities_is_an_input_error(self, tmp_path):
+        # one L1 distance has nothing to be compared with: no vacuous pass
+        scenario = tiny_scenario(tmp_path)
+        out = tmp_path / "out"
+        code = main([
+            "sweep", "--scenario", str(scenario), "--out", str(out),
+            "--epsilons", "1e-1,1e-2",
+        ])
+        assert code == 2
+        assert not (out / "sweep.json").exists()
+        assert "at least three" in read_json(out / "error.json")["message"]
+
 
 class TestScale:
     def test_direct_constants(self, tmp_path):
@@ -295,6 +307,40 @@ class TestErrors:
         err = read_json(out / "error.json")
         assert err["error"] == "DataValidationError"
         assert len(err["violations"]) == 1
+
+    def test_viscous_explicit_scheme_is_an_input_error(self, tmp_path):
+        # "explicit" is the inviscid scheme; with eps > 0 there is no
+        # forward-Euler diffusion to fall back on
+        scenario = tiny_scenario(tmp_path, scheme="explicit")
+        out = tmp_path / "out"
+        assert main(["solve", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert not (out / "run.json").exists()
+        err = read_json(out / "error.json")
+        assert err["error"] == "ValueError"
+        assert "does not fit eps = 0.01" in err["message"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["entropy-check", "--scenario", "s.json", "--constants", "abc"],
+         "invalid int value: 'abc'"),
+        (["solve"], "the following arguments are required: --scenario"),
+    ], ids=["non-integer-constants", "missing-scenario"])
+    def test_malformed_command_line(self, tmp_path, monkeypatch, capsys, argv, message):
+        # argparse errors follow the contract too: exit 2 and error.json in
+        # the named --out directory, or in spe-out/ without one
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--out", "out"]) == 2
+        err = read_json(tmp_path / "out" / "error.json")
+        assert err["error"] == "ValueError"
+        assert message in err["message"]
+        assert message in capsys.readouterr().err
+        assert main(argv) == 2
+        assert message in read_json(tmp_path / "spe-out" / "error.json")["message"]
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        assert "usage: spe" in capsys.readouterr().out
 
     def test_overflowing_amplitude_is_a_blow_up(self, tmp_path):
         # max u^2 overflows before the first step: a typed blow-up at t = 0,

@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spe.diagnostics import (
+    _at_snapshot_times,
+    _cumulative_g_power,
     default_stability_constant,
     energy_l4_p2_check,
     epsilon_sweep,
@@ -17,7 +21,7 @@ from spe.diagnostics import (
     scaling_constants,
     stability_compare,
 )
-from spe.fields import Field, make_uniform_grid
+from spe.fields import Field, lp_norm, make_uniform_grid, windowed_l1
 from spe.nonlocal_source import cumulative_primitive
 from spe.scenarios import preset_initial
 from spe.scheme import BoundaryData, SolverConfig, State, Trajectory, run
@@ -183,21 +187,6 @@ class TestL2Balance:
         traj = single_state_trajectory(grid, np.zeros(33))
         assert l2_balance_residual(traj) == 0.0
 
-    def test_scheme_independence(self, s1_spec):
-        # explicit and IMEX integrate the same dynamics; their balance
-        # residuals are discretization error of the same order
-        from dataclasses import replace
-
-        from conftest import rescale_scenario
-
-        spec = rescale_scenario(s1_spec, 500)
-        res = {}
-        for scheme in ("imex", "explicit"):
-            config = replace(spec.config, scheme=scheme)
-            traj = run(spec.initial, spec.boundary, config)
-            res[scheme] = l2_balance_residual(traj)
-        assert res["imex"] == pytest.approx(res["explicit"], rel=1.0)
-
 
 class TestEpsilonSweep:
     def base(self, n=64):
@@ -216,12 +205,14 @@ class TestEpsilonSweep:
         grid, config = self.base()
         u0 = Field.zeros(grid)
         g = BoundaryData.zero()
-        with pytest.raises(ValueError):
-            epsilon_sweep(u0, g, config, (1e-2,))
-        with pytest.raises(ValueError):
-            epsilon_sweep(u0, g, config, (1e-2, 3e-2))
-        with pytest.raises(ValueError):
-            epsilon_sweep(u0, g, config, (1e-2, -1e-3))
+        # a Cauchy comparison needs two distances, so three viscosities
+        for too_few in ((1e-2,), (3e-2, 1e-2)):
+            with pytest.raises(ValueError, match="at least three"):
+                epsilon_sweep(u0, g, config, too_few)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            epsilon_sweep(u0, g, config, (1e-2, 3e-2, 1e-1))
+        with pytest.raises(ValueError, match="positive"):
+            epsilon_sweep(u0, g, config, (1e-2, 3e-3, -1e-3))
 
     def test_distances_shrink_under_refinement(self, s1_spec):
         from conftest import rescale_scenario
@@ -255,3 +246,99 @@ class TestDeterminism:
                 )
             )
         assert records[0] == records[1]
+
+
+def synthetic_trajectory(grid, times, rows, g_vals):
+    """Snapshots of the given node values at the given times, with one
+    boundary-series row (t, g, 0) per snapshot."""
+    states = []
+    for t, vals in zip(times, rows):
+        u = Field(grid, vals)
+        states.append(State(t=t, u=u, P=cumulative_primitive(u), boundary_gradient=0.0))
+    return Trajectory(
+        config=SolverConfig(eps=1e-2, grid=grid, final_time=times[-1]),
+        g=BoundaryData.zero(),
+        initial=states[0],
+        snapshots=tuple(states),
+        boundary_series=np.column_stack((times, g_vals, np.zeros(len(times)))),
+        grad_sq_series=np.zeros(len(times)),
+        step_log=np.diff(times),
+    )
+
+
+def loop_worst(rows):
+    """The worst (gap, ...) row by a strict > scan from -inf: the first of
+    the rows whose lhs - rhs is largest."""
+    worst_gap, worst = -math.inf, None
+    for lhs, rhs, *rest in rows:
+        if lhs - rhs > worst_gap:
+            worst_gap, worst = lhs - rhs, (lhs, rhs, *rest)
+    return worst
+
+
+@st.composite
+def trajectory_pairs(draw):
+    """Two small trajectories on a shared grid and shared snapshot times whose
+    snapshots repeat a few node vectors, so that gaps tie exactly."""
+    n = draw(st.integers(4, 10))
+    grid = make_uniform_grid(2.0, n)
+    entries = st.sampled_from([0.0, 0.25, -0.5, 1.0, -1.0])
+    pool = [np.array(draw(st.lists(entries, min_size=n + 1, max_size=n + 1)))
+            for _ in range(3)]
+    count = draw(st.integers(2, 6))
+    times = np.cumsum([0.0] + draw(st.lists(
+        st.sampled_from([0.1, 0.25, 0.5]), min_size=count - 1, max_size=count - 1)))
+    g_vals = draw(st.lists(st.sampled_from([0.0, 0.5, -0.5]),
+                           min_size=count, max_size=count))
+
+    def picks():
+        return [pool[k] for k in draw(st.lists(
+            st.integers(0, 2), min_size=count, max_size=count))]
+
+    return (synthetic_trajectory(grid, times, picks(), g_vals),
+            synthetic_trajectory(grid, times, picks(), g_vals))
+
+
+class TestWorstCaseRule:
+    """Each check reports the first snapshot with the largest lhs - rhs, as
+    the strict-> loops it replaced did; ties between repeated snapshots
+    pin the first one."""
+
+    @given(pair=trajectory_pairs(), C=st.sampled_from([0.5, 1.0, 3.0]),
+           window=st.sampled_from([0.3, 1.0, 2.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loops(self, pair, C, window):
+        traj, other = pair
+        snaps = traj.snapshots
+
+        E = [0.5 * lp_norm(s.u, 4) ** 4 + lp_norm(s.P, 2) ** 2 for s in snaps]
+        g6 = 8.0 * _at_snapshot_times(traj, _cumulative_g_power(traj, 6))
+        want = loop_worst((e, E[0] + b, s.t) for e, b, s in zip(E, g6, snaps))
+        rec = energy_l4_p2_check(traj)
+        assert (rec.measured, rec.bound, rec.detail["worst_time"]) == want
+
+        want = loop_worst(
+            (lp_norm(s.P, math.inf) ** 2, 2.0 * lp_norm(s.P, 2) * lp_norm(s.u, 2), s.t)
+            for s in snaps)
+        rec = p_infty_check(traj)
+        assert (rec.measured, rec.bound, rec.detail["worst_time"]) == want
+
+        base = max(lp_norm(traj.initial.u, math.inf),
+                   float(np.max(np.abs(traj.boundary_series[:, 1]))))
+        rows, p_running = [], -math.inf
+        for s in snaps:
+            p_running = max(p_running, lp_norm(s.P, math.inf))
+            rows.append((lp_norm(s.u, math.inf), base + s.t * p_running))
+        rec = linfty_check(traj)
+        assert (rec.measured, rec.bound) == loop_worst(rows)
+
+        grid = traj.config.grid
+        diff0 = Field(grid, traj.initial.u.values - other.initial.u.values)
+        rows = []
+        for su, sv in zip(snaps, other.snapshots):
+            lhs = windowed_l1(Field(grid, su.u.values - sv.u.values), window)
+            expanded = min(window + C * su.t, grid.length)
+            rhs = math.exp(C * su.t) * windowed_l1(diff0, expanded) * (1.0 + 0.01)
+            rows.append((lhs, rhs, su.t))
+        rec = stability_compare(traj, other, window, C)
+        assert (rec.measured, rec.bound, rec.detail["worst_time"]) == loop_worst(rows)
