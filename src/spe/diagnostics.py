@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fields import Field, _running_trapezoid, lp_norm, mean, windowed_l1
-from .scheme import BoundaryData, SolverConfig, Trajectory, run
+from .scheme import LANDING_TOL, BoundaryData, SolverConfig, Trajectory, run
 
 __all__ = [
     "CheckRecord",
@@ -125,7 +125,7 @@ def _cumulative_g_power(traj: Trajectory, power: int) -> np.ndarray:
 
 def _at_snapshot_times(traj: Trajectory, series: np.ndarray) -> np.ndarray:
     times = traj.boundary_series[:, 0]
-    idx = np.searchsorted(times, traj.times - 1e-12)
+    idx = np.searchsorted(times, traj.times - LANDING_TOL)
     idx = np.clip(idx, 0, len(times) - 1)
     return series[idx]
 
@@ -287,7 +287,7 @@ def epsilon_sweep(
 
     finals = []
     for eps in eps_list:
-        config = replace(base_config, eps=eps, scheme="imex")
+        config = replace(base_config, eps=eps)
         traj = run(u0, g, config)
         finals.append(traj.final.u)
     grid = base_config.grid

@@ -81,10 +81,6 @@ class Field:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def zeros(cls, grid: Grid) -> "Field":
-        return cls(grid, np.zeros(grid.node_count))
-
 
 def _trapz(values: np.ndarray, dx: float) -> float:
     # composite trapezoid with half weights at both ends

@@ -3,8 +3,8 @@
 A scenario bundles the grid, solver configuration, initial datum, and
 boundary datum.  Loading validates every admissibility requirement and
 reports all violations at once: zero trapezoidal mean of the initial datum,
-finite sup and L1 norms, square-integrable primitive, and a finite declared
-sup bound on the boundary datum.
+finite L1 norm and square-integrable primitive.  ``Field`` itself rejects
+non-finite samples and ``BoundaryData`` a non-finite sup bound.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class ScenarioSpec:
         return self.config.grid
 
 
-def _validate_admissibility(u0: Field, g: BoundaryData) -> list:
+def _validate_admissibility(u0: Field) -> list:
     violations = []
     l1 = lp_norm(u0, 1)
     m = mean(u0)
@@ -149,16 +149,11 @@ def _validate_admissibility(u0: Field, g: BoundaryData) -> list:
             f"nonzero mean violates the zero-mean requirement int u0 dx = 0 "
             f"(mean = {m:.6g})"
         )
-    sup = lp_norm(u0, math.inf)
-    if not np.isfinite(sup):
-        violations.append("initial datum must be bounded (finite sup norm)")
     if not np.isfinite(l1):
         violations.append("initial datum must be integrable (finite L1 norm)")
     P0 = cumulative_primitive(u0)
     if not np.isfinite(lp_norm(P0, 2)):
         violations.append("initial primitive must be square integrable")
-    if not np.isfinite(g.sup_bound):
-        violations.append("boundary datum must carry a finite sup bound")
     return violations
 
 
@@ -185,7 +180,7 @@ def _schema_violations(doc) -> list:
     """Every structural violation of a scenario document: the top level and
     each block must be JSON objects with their required keys, the grid,
     time, viscosity, physical and preset parameter values must be numbers,
-    and data file names strings."""
+    the flags booleans and data file names strings."""
     if not isinstance(doc, dict):
         return [f"the scenario must be a JSON object, got {type(doc).__name__}"]
     violations = [f"missing required key '{key}'" for key in _REQUIRED_KEYS
@@ -207,6 +202,9 @@ def _schema_violations(doc) -> list:
         where = key if block is None else f"{block}.{key}"
         if key in holder and not _is_number(holder[key]):
             violations.append(f"'{where}' must be a number, got {holder[key]!r}")
+    violations += [f"'{key}' must be true or false, got {doc[key]!r}"
+                   for key in ("source_enabled", "allow_nonconforming")
+                   if not isinstance(doc.get(key, False), bool)]
     n = blocks.get("grid", {}).get("n")
     if _is_number(n) and not (float(n).is_integer() and 2 <= n <= MAX_CELLS):
         violations.append(
@@ -242,14 +240,15 @@ def parse_scenario(doc: dict, *, source: str = "<memory>") -> ScenarioSpec:
     boundary_doc = doc["boundary"]
 
     grid = make_uniform_grid(float(grid_doc["L"]), int(grid_doc["n"]))
+    # optional keys reach SolverConfig only when given; it owns the defaults
+    options = {"cfl_safety": time_doc.get("cfl_safety"), "scheme": doc.get("scheme"),
+               "snapshot_times": time_doc.get("snapshots"),
+               "include_source": doc.get("source_enabled")}
     config = SolverConfig(
         eps=float(epsilon),
         grid=grid,
         final_time=float(time_doc["T"]),
-        cfl_safety=float(time_doc.get("cfl_safety", 0.9)),
-        scheme=str(doc.get("scheme", "imex")),
-        snapshot_times=tuple(time_doc.get("snapshots", ())),
-        include_source=bool(doc.get("source_enabled", True)),
+        **{key: value for key, value in options.items() if value is not None},
     )
 
     if "preset" in initial_doc:
@@ -278,10 +277,10 @@ def parse_scenario(doc: dict, *, source: str = "<memory>") -> ScenarioSpec:
     if "physical" in doc and doc["physical"] is not None:
         physical = (float(doc["physical"]["k"]), float(doc["physical"]["c2"]))
 
-    allow_nonconforming = bool(doc.get("allow_nonconforming", False))
-    violations = _validate_admissibility(u0, g)
+    violations = _validate_admissibility(u0)
     conforming = not violations
-    if violations and not (allow_nonconforming and initial_preset == "riemann-test"):
+    if violations and not (doc.get("allow_nonconforming", False)
+                           and initial_preset == "riemann-test"):
         raise DataValidationError(
             [f"scenario {source}: {v}" for v in violations]
         )

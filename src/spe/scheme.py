@@ -22,10 +22,10 @@ on the zero-mean manifold that the half-line theory lives on:
 
 Advection uses first-order left-biased upwinding on the conservative flux
 u^3 (the characteristic speed 3u^2 is never negative, so information always
-enters from the boundary side).  Diffusion (eps > 0, scheme "imex") is
-backward Euler; the tridiagonal matrix is symmetric positive definite and is
-solved by LAPACK ``dptsv``.  The inviscid scheme "explicit" (eps = 0) has no
-diffusion stage.
+enters from the boundary side).  The viscosity alone decides the scheme:
+diffusion (eps > 0, "imex") is backward Euler, whose tridiagonal matrix is
+symmetric positive definite and is solved by LAPACK ``dptsv``; the inviscid
+scheme (eps = 0, "explicit") has no diffusion stage.
 
 ``run`` advances a ``Workspace``: the current u and P plus scratch arrays,
 allocated once per run, that ``step`` overwrites in place.  ``Field`` and
@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dptsv
@@ -61,6 +61,8 @@ __all__ = [
 
 #: floor on the characteristic speed in the CFL condition
 SPEED_FLOOR = 1e-12
+#: a time within this of a snapshot time (or of final_time) has reached it
+LANDING_TOL = 1e-12
 #: largest |u0(0) - g(0)| that ``run`` accepts without a compatibility warning
 COMPAT_TOL = 1e-8
 
@@ -97,28 +99,29 @@ class BoundaryData:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Discretization parameters for one run."""
+    """Discretization parameters for one run.  ``eps`` decides the scheme; a
+    ``scheme`` given too is only checked against it, not stored."""
 
     eps: float
     grid: Grid
     final_time: float
     cfl_safety: float = 0.9
-    scheme: str = "imex"
+    scheme: InitVar[str | None] = None
     snapshot_times: tuple = ()
     include_source: bool = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, scheme: str | None) -> None:
         if self.eps < 0.0 or not np.isfinite(self.eps):
             raise ValueError("viscosity eps must be finite and >= 0")
-        if self.scheme != ("explicit" if self.eps == 0.0 else "imex"):
-            raise ValueError(f"scheme {self.scheme!r} does not fit eps = {self.eps:g}: "
+        if scheme not in (None, "explicit" if self.eps == 0.0 else "imex"):
+            raise ValueError(f"scheme {scheme!r} does not fit eps = {self.eps:g}: "
                              "eps = 0 is 'explicit' and eps > 0 is 'imex'")
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ValueError("cfl_safety must lie in (0, 1]")
         if not (self.final_time > 0.0 and np.isfinite(self.final_time)):
             raise ValueError("final_time must be positive and finite")
         snaps = tuple(float(s) for s in self.snapshot_times)
-        if not all(0.0 <= s <= self.final_time + 1e-12 for s in snaps):
+        if not all(0.0 <= s <= self.final_time + LANDING_TOL for s in snaps):
             raise ValueError("snapshot times must lie in [0, final_time]")
         object.__setattr__(self, "snapshot_times", snaps)
 
@@ -252,7 +255,8 @@ class Workspace:
         self.spare = np.empty(n)
         self.scratch = np.empty(n)
         self.diag = np.empty(n - 2)
-        self.offdiag = np.empty(n - 3)
+        # dptsv takes a one-element off-diagonal for a single interior node
+        self.offdiag = np.empty(max(n - 3, 1))
         self.weight = _projection_weight(grid)
         self.g_value = math.nan
         with np.errstate(over="ignore"):
@@ -410,7 +414,7 @@ def run(
     dts = []
     next_snap = 1  # snap_times[0] == 0.0 already recorded
 
-    while ws.t < config.final_time - 1e-12:
+    while ws.t < config.final_time - LANDING_TOL:
         dt = _cfl_dt(ws.u, ws.t, config)
         if next_snap < len(snap_times):
             gap = snap_times[next_snap] - ws.t
@@ -420,7 +424,7 @@ def run(
         dts.append(dt)
         series.append((ws.t, ws.g_value, ws.boundary_gradient))
         grad_sq.append(ws.grad_sq)
-        while next_snap < len(snap_times) and ws.t >= snap_times[next_snap] - 1e-12:
+        while next_snap < len(snap_times) and ws.t >= snap_times[next_snap] - LANDING_TOL:
             snapshots.append(ws.state())
             next_snap += 1
 

@@ -12,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spe.cli import main
-from spe.scenarios import builtin_scenario_path, load_scenario, parse_scenario
+from spe.scenarios import (
+    builtin_scenario_path,
+    load_scenario,
+    parse_scenario,
+    preset_boundary,
+)
 from spe.scheme import run
 
 
@@ -22,7 +27,6 @@ def tiny_scenario(tmp_path, **overrides):
         "grid": {"L": 10.0, "n": 128},
         "time": {"T": 0.2, "cfl_safety": 0.9, "snapshots": [0.1]},
         "epsilon": 0.01,
-        "scheme": "imex",
         "initial": {"preset": "bump-derivative",
                     "params": {"a": 1.0, "x0": 2.0, "sigma": 1.0}},
         "boundary": {"preset": "zero"},
@@ -81,6 +85,25 @@ class TestSolve:
                     for x, u, P in zip(xs, snap.u.values, snap.P.values)]
             assert parsed(f"snapshot_{k:03d}.csv") == want
         assert parsed("boundary.csv") == traj.boundary_series.tolist()
+
+    def test_inviscid_without_scheme_key(self, tmp_path):
+        # epsilon = 0 alone selects the inviscid scheme
+        scenario = tiny_scenario(tmp_path, epsilon=0.0)
+        out = tmp_path / "out"
+        assert main(["solve", "--scenario", str(scenario), "--out", str(out)]) == 0
+
+    def test_single_interior_node(self, tmp_path):
+        # grid.n = 2: the diffusion solve has one unknown
+        pulse = {"a": 0.5, "tau": 1.0}
+        scenario = tiny_scenario(tmp_path, grid={"L": 10.0, "n": 2},
+                                 boundary={"preset": "pulse", "params": pulse})
+        out = tmp_path / "out"
+        assert main(["solve", "--scenario", str(scenario), "--out", str(out)]) == 0
+        g = preset_boundary("pulse", pulse)
+        for k in range(3):
+            rows = np.loadtxt(out / f"snapshot_{k:03d}.csv", delimiter=",", skiprows=1)
+            assert rows.shape == (3, 4) and np.isfinite(rows).all()
+            assert rows[0, 2] == g(rows[0, 0]) and rows[-1, 2] == 0.0
 
     def test_nonconforming_rejected_outside_entropy(self, tmp_path):
         out = tmp_path / "out"
@@ -294,19 +317,24 @@ class TestErrors:
         assert err["error"] == "DataValidationError"
         assert err["violations"]
 
-    @pytest.mark.parametrize("doc", [
-        [{"name": "tiny"}],                                  # top-level array
-        {"name": "tiny", "grid": {"n": 128}, "time": {"T": 0.2}, "epsilon": 0.01,
-         "initial": {"preset": "bump-derivative"}, "boundary": {"preset": "zero"}},
-    ], ids=["top-level-array", "grid-without-L"])
-    def test_schema_violation_exits_2_with_error_json(self, tmp_path, doc):
+    @pytest.mark.parametrize("doc, count", [
+        ([{"name": "tiny"}], 1),                             # top-level array
+        ({"name": "tiny", "grid": {"n": 128}, "time": {"T": 0.2}, "epsilon": 0.01,
+          "initial": {"preset": "bump-derivative"}, "boundary": {"preset": "zero"}}, 1),
+        # a string "false" is truthy: it must neither leave the source on nor
+        # consent to non-conforming data
+        ({"name": "tiny", "grid": {"L": 10.0, "n": 128}, "time": {"T": 0.2},
+          "epsilon": 0.01, "source_enabled": "false", "allow_nonconforming": "false",
+          "initial": {"preset": "bump-derivative"}, "boundary": {"preset": "zero"}}, 2),
+    ], ids=["top-level-array", "grid-without-L", "string-flags"])
+    def test_schema_violation_exits_2_with_error_json(self, tmp_path, doc, count):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert main(["solve", "--scenario", str(bad), "--out", str(out)]) == 2
         err = read_json(out / "error.json")
         assert err["error"] == "DataValidationError"
-        assert len(err["violations"]) == 1
+        assert len(err["violations"]) == count
 
     def test_viscous_explicit_scheme_is_an_input_error(self, tmp_path):
         # "explicit" is the inviscid scheme; with eps > 0 there is no
@@ -414,7 +442,6 @@ def scenario_docs(draw, values, max_edits):
         "grid": {"L": 10.0, "n": draw(st.integers(8, 64))},
         "time": {"T": T, "cfl_safety": 0.9, "snapshots": [T / 2]},
         "epsilon": 0.0 if riemann else 0.01,
-        "scheme": "explicit" if riemann else "imex",
         "initial": copy.deepcopy(initial),
         "boundary": copy.deepcopy(draw(st.sampled_from(BOUNDARY_BLOCKS))),
         "physical": {"k": 1.0, "c2": 1.0},

@@ -196,14 +196,15 @@ class TestEpsilonSweep:
     def test_zero_data_all_distances_vanish(self):
         grid, config = self.base()
         rec = epsilon_sweep(
-            Field.zeros(grid), BoundaryData.zero(), config, (3e-2, 1e-2, 3e-3)
+            Field(grid, np.zeros(grid.node_count)), BoundaryData.zero(), config,
+            (3e-2, 1e-2, 3e-3),
         )
         assert rec.verdict == "pass"
         assert all(d == 0.0 for d in rec.detail["l1_differences"])
 
     def test_input_validation(self):
         grid, config = self.base()
-        u0 = Field.zeros(grid)
+        u0 = Field(grid, np.zeros(grid.node_count))
         g = BoundaryData.zero()
         # a Cauchy comparison needs two distances, so three viscosities
         for too_few in ((1e-2,), (3e-2, 1e-2)):

@@ -31,12 +31,10 @@ finite_floats = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
 def synthetic_trajectory(grid, times, profiles, g, eps=0.0, include_source=True):
     """Assemble a Trajectory directly from given snapshot profiles."""
-    scheme = "explicit" if eps == 0.0 else "imex"
     config = SolverConfig(
         eps=eps,
         grid=grid,
         final_time=float(times[-1]),
-        scheme=scheme,
         snapshot_times=tuple(times),
         include_source=include_source,
     )

@@ -26,7 +26,7 @@ fields12 = hnp.arrays(
 
 class TestCumulativePrimitive:
     def test_zero(self):
-        P = cumulative_primitive(Field.zeros(GRID12))
+        P = cumulative_primitive(Field(GRID12, np.zeros(GRID12.node_count)))
         assert np.all(P.values == 0.0)
 
     def test_constant_gives_identity_exactly(self):

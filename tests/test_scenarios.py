@@ -93,7 +93,7 @@ class TestLoadScenario:
         assert s1_spec.name == "s1"
         assert s1_spec.grid.cell_count == 2000
         assert s1_spec.config.eps == 0.01
-        assert s1_spec.config.scheme == "imex"
+        assert "scheme" not in s1_spec.raw  # the viscosity decides it
         assert s1_spec.conforming
 
     def test_round_trip(self, s1_spec):
@@ -153,6 +153,8 @@ class TestLoadScenario:
         ({"grid": {"L": 10.0, "n": 2**63}}, "'grid.n' must be an integer"),
         ({"grid": {"L": 10.0, "n": math.inf}}, "'grid.n' must be an integer"),
         ({"grid": {"L": 10**400, "n": 64}}, "'grid.L' must be a number"),
+        ({"source_enabled": "false"}, "'source_enabled' must be true or false"),
+        ({"allow_nonconforming": "false"}, "'allow_nonconforming' must be true or false"),
     ])
     def test_schema_violations_reported(self, s1_spec, change, match):
         with pytest.raises(DataValidationError, match=match):

@@ -108,6 +108,7 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(eps=0.0, grid=grid, final_time=1.0, scheme="imex")
         SolverConfig(eps=0.0, grid=grid, final_time=1.0, scheme="explicit")
+        SolverConfig(eps=0.0, grid=grid, final_time=1.0)  # eps decides the scheme
 
     def test_viscous_requires_imex(self):
         # one scheme per viscosity: there is no forward-Euler diffusion
@@ -153,7 +154,7 @@ class TestStep:
         values = np.zeros(21)
         values[0] = 1.0
         state = make_state(grid, values)
-        config = SolverConfig(eps=0.0, grid=grid, final_time=1.0, scheme="explicit")
+        config = SolverConfig(eps=0.0, grid=grid, final_time=1.0)
         g = BoundaryData(g=lambda t: 1.0, sup_bound=1.0)
         dt = 0.005
         new = step(state, config, g, dt=dt)
@@ -228,8 +229,7 @@ class TestStep:
         above = base + np.abs(rng.normal(0.0, 0.1, 41))
         g = BoundaryData(g=lambda t: base[0], sup_bound=1.0)
         above[0] = base[0]
-        config = SolverConfig(eps=0.0, grid=grid, final_time=1.0, scheme="explicit",
-                              include_source=False)
+        config = SolverConfig(eps=0.0, grid=grid, final_time=1.0, include_source=False)
         lo = make_state(grid, base)
         hi = make_state(grid, above)
         dt = min(stable_dt(lo, config), stable_dt(hi, config))
@@ -244,7 +244,7 @@ class TestRun:
         config = SolverConfig(
             eps=1e-2, grid=grid, final_time=0.2, snapshot_times=(0.1,)
         )
-        traj = run(Field.zeros(grid), BoundaryData.zero(), config)
+        traj = run(Field(grid, np.zeros(grid.node_count)), BoundaryData.zero(), config)
         for s in traj.snapshots:
             assert np.max(np.abs(s.u.values)) <= 1e-15
 
@@ -344,10 +344,6 @@ def zero_mean_state(grid, rng, amplitude, g0):
     return make_state(grid, vals)
 
 
-def scheme_for(eps):
-    return "explicit" if eps == 0.0 else "imex"
-
-
 class TestKernelProperties:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -360,8 +356,7 @@ class TestKernelProperties:
     @settings(max_examples=60, deadline=None)
     def test_one_step_invariants(self, seed, n, eps, amplitude, g0, dt_fraction):
         grid = make_uniform_grid(10.0, n)
-        config = SolverConfig(eps=eps, grid=grid, final_time=10.0,
-                              scheme=scheme_for(eps))
+        config = SolverConfig(eps=eps, grid=grid, final_time=10.0)
         state = zero_mean_state(grid, np.random.default_rng(seed), amplitude, g0)
         g = BoundaryData(g=lambda t: g0, sup_bound=abs(g0))
         dt = dt_fraction * stable_dt(state, config)
@@ -384,7 +379,7 @@ class TestKernelProperties:
         # steps through the State-level step() must give the same levels
         grid = make_uniform_grid(10.0, 100)
         config = SolverConfig(eps=eps, grid=grid, final_time=0.1,
-                              scheme=scheme_for(eps), snapshot_times=(0.03, 0.07))
+                              snapshot_times=(0.03, 0.07))
         u0 = preset_initial("bump-derivative", {"a": a, "x0": 2.0, "sigma": 1.0}, grid)
         g = preset_boundary("pulse", {"a": pulse, "tau": 0.08})
         traj = run(u0, g, config)
