@@ -40,6 +40,22 @@ def _centered_difference(profile: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
+#: each block's presets: for each, its parameters and their defaults
+_PRESETS = {
+    "initial": {"bump-derivative": {"a": 1.0, "x0": 2.0, "sigma": 1.0},
+                "sine-packet": {"a": 0.5, "x0": 1.0, "w": 2.0, "m": 2},
+                "riemann-test": {"left": 1.0, "right": 0.0, "jump": 0.5}},
+    "boundary": {"zero": {}, "pulse": {"a": 0.5, "tau": 1.0}, "constant": {"a": 0.0}},
+}
+
+
+def _preset_parameters(block: str, preset: str, params: dict) -> dict:
+    """``params`` over the defaults of ``block``'s ``preset``."""
+    if preset not in _PRESETS[block]:
+        raise ValueError(f"unknown {block} preset {preset!r}")
+    return {**_PRESETS[block][preset], **params}
+
+
 def preset_initial(preset: str, params: dict, grid: Grid) -> Field:
     """Construct one of the shipped initial data.
 
@@ -54,10 +70,11 @@ def preset_initial(preset: str, params: dict, grid: Grid) -> Field:
     zero-mean requirement and is accepted only by the entropy subcommand.
     """
     x = grid.nodes
+    params = _preset_parameters("initial", preset, params)
     if preset == "bump-derivative":
-        a = float(params.get("a", 1.0))
-        x0 = float(params.get("x0", 2.0))
-        sigma = float(params.get("sigma", 1.0))
+        a = float(params["a"])
+        x0 = float(params["x0"])
+        sigma = float(params["sigma"])
         if not sigma > 0.0:
             raise ValueError("sigma must be positive")
         if not (x0 - sigma >= 0.0 and x0 + sigma <= grid.length / 2.0):
@@ -68,10 +85,10 @@ def preset_initial(preset: str, params: dict, grid: Grid) -> Field:
         bump = np.where(np.abs(s) <= 1.0, a * (1.0 - s**2) ** 3, 0.0)
         return Field(grid, _centered_difference(bump, grid.dx))
     if preset == "sine-packet":
-        a = float(params.get("a", 0.5))
-        x0 = float(params.get("x0", 1.0))
-        w = float(params.get("w", 2.0))
-        m = params.get("m", 2)
+        a = float(params["a"])
+        x0 = float(params["x0"])
+        w = float(params["w"])
+        m = params["m"]
         if not (w > 0.0 and m >= 1 and float(m).is_integer()):
             raise ValueError("packet width must be positive, m an integer >= 1")
         m = int(m)
@@ -85,25 +102,21 @@ def preset_initial(preset: str, params: dict, grid: Grid) -> Field:
         win = np.where(inside, np.sin(np.pi * np.clip((x - x0) / w, 0, 1)) ** 2, 0.0)
         vals = vals - _trapz(vals, grid.dx) * win / _trapz(win, grid.dx)
         return Field(grid, vals)
-    if preset == "riemann-test":
-        left = float(params.get("left", 1.0))
-        right = float(params.get("right", 0.0))
-        jump = float(params.get("jump", 0.5))
-        return Field(grid, np.where(x < jump, left, right))
-    raise ValueError(f"unknown initial preset {preset!r}")
+    # riemann-test
+    left = float(params["left"])
+    right = float(params["right"])
+    jump = float(params["jump"])
+    return Field(grid, np.where(x < jump, left, right))
 
 
 def preset_boundary(preset: str, params: dict) -> BoundaryData:
     """zero: g = 0; pulse: a*sin^2(pi t/tau) for t <= tau, else 0; constant: g = a."""
+    params = _preset_parameters("boundary", preset, params)
     if preset == "zero":
         return BoundaryData.zero()
     if preset == "pulse":
-        a = float(params.get("a", 0.5))
-        tau = float(params.get("tau", 1.0))
-        if not math.isfinite(a):
-            raise DataValidationError(
-                ["boundary datum must be essentially bounded: pulse amplitude is not finite"]
-            )
+        a = float(params["a"])
+        tau = float(params["tau"])
         if not tau > 0.0:
             raise ValueError("pulse duration tau must be positive")
 
@@ -113,14 +126,9 @@ def preset_boundary(preset: str, params: dict) -> BoundaryData:
             return 0.0
 
         return BoundaryData(g=g, sup_bound=abs(a))
-    if preset == "constant":
-        a = float(params.get("a", 0.0))
-        if not math.isfinite(a):
-            raise DataValidationError(
-                ["boundary datum must be essentially bounded: constant value is not finite"]
-            )
-        return BoundaryData(g=lambda t, _a=a: _a, sup_bound=abs(a))
-    raise ValueError(f"unknown boundary preset {preset!r}")
+    # constant
+    a = float(params["a"])
+    return BoundaryData(g=lambda t, _a=a: _a, sup_bound=abs(a))
 
 
 @dataclass(frozen=True)
@@ -149,20 +157,14 @@ def _validate_admissibility(u0: Field) -> list:
             f"nonzero mean violates the zero-mean requirement int u0 dx = 0 "
             f"(mean = {m:.6g})"
         )
+    # build the primitive only from a finite L1 norm: its overflow would hide this list
     if not np.isfinite(l1):
         violations.append("initial datum must be integrable (finite L1 norm)")
-    P0 = cumulative_primitive(u0)
-    if not np.isfinite(lp_norm(P0, 2)):
+    elif not np.isfinite(lp_norm(cumulative_primitive(u0), 2)):
         violations.append("initial primitive must be square integrable")
     return violations
 
 
-#: required top-level keys; for each JSON-object block, its required keys
-_REQUIRED_KEYS = ("name", "grid", "time", "epsilon", "initial", "boundary")
-_BLOCK_KEYS = {"grid": ("L", "n"), "time": ("T",), "initial": (), "boundary": (),
-              "physical": ("k", "c2")}
-_NUMBER_KEYS = (("grid", "L"), ("grid", "n"), ("time", "T"), ("time", "cfl_safety"),
-               ("physical", "k"), ("physical", "c2"), (None, "epsilon"))
 #: the most grid cells a scenario may ask for; a run holds about ten arrays
 #: of n + 1 floats, 80 MB each at this size
 MAX_CELLS = 10**7
@@ -176,50 +178,77 @@ def _is_number(value) -> bool:
     return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
+#: each kind of value: its test, and what a violation says it must be
+_KINDS = {
+    "any": (lambda v: True, "any value"),
+    "number": (_is_number, "a number"),
+    "cells": (lambda v: _is_number(v) and float(v).is_integer() and 2 <= v <= MAX_CELLS,
+              f"an integer from 2 to {MAX_CELLS}"),
+    "numbers": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                "a list of numbers"),
+    "flag": (lambda v: isinstance(v, bool), "true or false"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "path": (lambda v: isinstance(v, str), "a path string"),
+    "object": (lambda v: isinstance(v, dict), "a JSON object"),
+    "parameters": (lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+                   "a JSON object of numbers"),
+}
+_DATUM = {"preset": (False, "string"), "file": (False, "path"),
+          "params": (False, "parameters")}
+#: every key of a scenario document, block by block ("" is the top level):
+#: whether it is required, and the kind of its value
+_SCHEMA = {
+    "": {"name": (True, "any"), "grid": (True, "object"), "time": (True, "object"),
+         "epsilon": (True, "number"), "scheme": (False, "string"),
+         "source_enabled": (False, "flag"), "allow_nonconforming": (False, "flag"),
+         "initial": (True, "object"), "boundary": (True, "object"),
+         "physical": (False, "object")},
+    "grid": {"L": (True, "number"), "n": (True, "cells")},
+    "time": {"T": (True, "number"), "cfl_safety": (False, "number"),
+             "snapshots": (False, "numbers")},
+    "initial": _DATUM,
+    "boundary": _DATUM,
+    "physical": {"k": (True, "number"), "c2": (True, "number")},
+}
+
+
 def _schema_violations(doc) -> list:
-    """Every structural violation of a scenario document: the top level and
-    each block must be JSON objects with their required keys, the grid,
-    time, viscosity, physical and preset parameter values must be numbers,
-    the flags booleans and data file names strings."""
+    """Every departure of a scenario document from ``_SCHEMA`` and
+    ``_PRESETS``: a missing or unknown key, a value of the wrong kind, an
+    unknown preset or preset parameter, and an initial or boundary block
+    without exactly one of 'preset' and 'file'."""
     if not isinstance(doc, dict):
         return [f"the scenario must be a JSON object, got {type(doc).__name__}"]
-    violations = [f"missing required key '{key}'" for key in _REQUIRED_KEYS
-                  if key not in doc]
-    blocks = {}
-    for block, keys in _BLOCK_KEYS.items():
-        sub = doc.get(block)
-        if block not in doc or (sub is None and block not in _REQUIRED_KEYS):
-            continue  # absent, or an optional block set to null
-        if not isinstance(sub, dict):
-            violations.append(
-                f"'{block}' must be a JSON object, got {type(sub).__name__}")
+    violations = []
+    blocks = [("", doc)]
+    for block, holder in blocks:  # each block found is appended and walked
+        keys = _SCHEMA[block]
+        prefix = f"{block}." if block else ""
+        violations += [f"unknown key '{prefix}{key}'" for key in holder if key not in keys]
+        for key, (required, kind) in keys.items():
+            value = holder.get(key)
+            test, must_be = _KINDS[kind]
+            if value is None and (key not in holder or kind == "object" and not required):
+                # absent, or an optional block set to null
+                if required:
+                    violations.append(f"missing required key '{prefix}{key}'")
+            elif not test(value):
+                violations.append(f"'{prefix}{key}' must be {must_be}, got {value!r}")
+            elif kind == "object":
+                blocks.append((key, value))
+        presets = _PRESETS.get(block)
+        if presets is None:
             continue
-        blocks[block] = sub
-        violations += [f"missing required key '{block}.{key}'" for key in keys
-                       if key not in sub]
-    for block, key in _NUMBER_KEYS:
-        holder = doc if block is None else blocks.get(block, {})
-        where = key if block is None else f"{block}.{key}"
-        if key in holder and not _is_number(holder[key]):
-            violations.append(f"'{where}' must be a number, got {holder[key]!r}")
-    violations += [f"'{key}' must be true or false, got {doc[key]!r}"
-                   for key in ("source_enabled", "allow_nonconforming")
-                   if not isinstance(doc.get(key, False), bool)]
-    n = blocks.get("grid", {}).get("n")
-    if _is_number(n) and not (float(n).is_integer() and 2 <= n <= MAX_CELLS):
-        violations.append(
-            f"'grid.n' must be an integer from 2 to {MAX_CELLS}, got {n!r}")
-    for block in ("initial", "boundary"):
-        if not isinstance(blocks.get(block, {}).get("file", ""), str):
-            violations.append(f"'{block}.file' must be a path string")
-        params = blocks.get(block, {}).get("params", {})
-        if not (isinstance(params, dict) and all(map(_is_number, params.values()))):
-            violations.append(
-                f"'{block}.params' must be a JSON object of numbers, got {params!r}")
-    snapshots = blocks.get("time", {}).get("snapshots", [])
-    if not (isinstance(snapshots, list) and all(map(_is_number, snapshots))):
-        violations.append(
-            f"'time.snapshots' must be a list of numbers, got {snapshots!r}")
+        if ("preset" in holder) == ("file" in holder):
+            violations.append(f"'{block}' needs exactly one of 'preset' and 'file'")
+        preset = holder.get("preset")
+        params = holder.get("params")
+        if isinstance(preset, str) and preset not in presets:
+            violations.append(f"unknown {block} preset {preset!r}")
+        elif isinstance(params, dict) and (preset is None or isinstance(preset, str)):
+            # a file block has no preset, so it takes no parameters
+            violations += [f"'{block}.params' has unknown parameter {key!r}"
+                           for key in params if key not in presets.get(preset, {})]
     return violations
 
 
@@ -232,10 +261,8 @@ def parse_scenario(doc: dict, *, source: str = "<memory>") -> ScenarioSpec:
     violations = _schema_violations(doc)
     if violations:
         raise DataValidationError([f"scenario {source}: {v}" for v in violations])
-    name = doc["name"]
     grid_doc = doc["grid"]
     time_doc = doc["time"]
-    epsilon = doc["epsilon"]
     initial_doc = doc["initial"]
     boundary_doc = doc["boundary"]
 
@@ -245,7 +272,7 @@ def parse_scenario(doc: dict, *, source: str = "<memory>") -> ScenarioSpec:
                "snapshot_times": time_doc.get("snapshots"),
                "include_source": doc.get("source_enabled")}
     config = SolverConfig(
-        eps=float(epsilon),
+        eps=float(doc["epsilon"]),
         grid=grid,
         final_time=float(time_doc["T"]),
         **{key: value for key, value in options.items() if value is not None},
@@ -255,38 +282,28 @@ def parse_scenario(doc: dict, *, source: str = "<memory>") -> ScenarioSpec:
         u0 = preset_initial(
             initial_doc["preset"], initial_doc.get("params", {}), grid
         )
-        initial_preset = initial_doc["preset"]
-    elif "file" in initial_doc:
-        u0 = _load_field_csv(Path(initial_doc["file"]), grid)
-        initial_preset = None
     else:
-        raise DataValidationError(
-            [f"scenario {source}: initial needs 'preset' or 'file'"]
-        )
+        u0 = _load_field_csv(Path(initial_doc["file"]), grid)
 
     if "preset" in boundary_doc:
         g = preset_boundary(boundary_doc["preset"], boundary_doc.get("params", {}))
-    elif "file" in boundary_doc:
-        g = _load_boundary_csv(Path(boundary_doc["file"]))
     else:
-        raise DataValidationError(
-            [f"scenario {source}: boundary needs 'preset' or 'file'"]
-        )
+        g = _load_boundary_csv(Path(boundary_doc["file"]))
 
     physical = None
-    if "physical" in doc and doc["physical"] is not None:
+    if doc.get("physical") is not None:
         physical = (float(doc["physical"]["k"]), float(doc["physical"]["c2"]))
 
     violations = _validate_admissibility(u0)
     conforming = not violations
     if violations and not (doc.get("allow_nonconforming", False)
-                           and initial_preset == "riemann-test"):
+                           and initial_doc.get("preset") == "riemann-test"):
         raise DataValidationError(
             [f"scenario {source}: {v}" for v in violations]
         )
 
     return ScenarioSpec(
-        name=str(name),
+        name=str(doc["name"]),
         config=config,
         initial=u0,
         boundary=g,

@@ -81,7 +81,8 @@ class BoundaryData:
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.sup_bound) or self.sup_bound < 0.0:
-            raise ValueError("sup_bound must be finite and nonnegative")
+            raise DataValidationError(["boundary datum must be essentially bounded: "
+                                       f"sup bound {self.sup_bound!r} not in [0, inf)"])
 
     def __call__(self, t: float) -> float:
         val = float(self.g(t))

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from spe.cli import main
 from spe.scenarios import (
+    _PRESETS,
+    _SCHEMA,
     builtin_scenario_path,
     load_scenario,
     parse_scenario,
@@ -326,7 +328,11 @@ class TestErrors:
         ({"name": "tiny", "grid": {"L": 10.0, "n": 128}, "time": {"T": 0.2},
           "epsilon": 0.01, "source_enabled": "false", "allow_nonconforming": "false",
           "initial": {"preset": "bump-derivative"}, "boundary": {"preset": "zero"}}, 2),
-    ], ids=["top-level-array", "grid-without-L", "string-flags"])
+        # misspelled keys are reported, not replaced by their defaults
+        ({"name": "tiny", "grid": {"L": 10.0, "n": 128},
+          "time": {"T": 0.2, "snapshot": [0.1]}, "epsilon": 0.01, "source_enable": False,
+          "initial": {"preset": "bump-derivative"}, "boundary": {"preset": "zero"}}, 2),
+    ], ids=["top-level-array", "grid-without-L", "string-flags", "misspelled-keys"])
     def test_schema_violation_exits_2_with_error_json(self, tmp_path, doc, count):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -404,18 +410,15 @@ JSON_VALUES = st.recursive(
     max_leaves=6,
 )
 DELETE = object()
-#: every key of a scenario document, as a path from the top
-SCENARIO_PATHS = [
-    (), ("name",), ("grid",), ("grid", "L"), ("grid", "n"), ("time",), ("time", "T"),
-    ("time", "cfl_safety"), ("time", "snapshots"), ("epsilon",), ("scheme",),
-    ("source_enabled",), ("allow_nonconforming",), ("physical",),
-    ("physical", "k"), ("physical", "c2"),
+#: every key of a scenario document as a path from the top, read from the
+#: format's own tables, and one unknown key in each block and parameter set
+SCENARIO_PATHS = [()] + [
+    (block, key) if block else (key,)
+    for block, keys in _SCHEMA.items() for key in [*keys, "unknown"]
 ] + [
-    (block, *rest)
-    for block in ("initial", "boundary")
-    for rest in [(), ("preset",), ("params",), ("file",)]
-    + [("params", key) for key in ("a", "x0", "sigma", "w", "m", "left",
-                                   "right", "jump", "tau")]
+    (block, "params", key)
+    for block, presets in _PRESETS.items()
+    for key in sorted(set().union(*presets.values(), ["unknown"]))
 ]
 INITIAL_BLOCKS = [
     {"preset": "bump-derivative", "params": {"a": 1.0, "x0": 2.0, "sigma": 1.0}},

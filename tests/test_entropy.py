@@ -23,7 +23,6 @@ from spe.entropy import (
 )
 from spe.fields import Field, make_uniform_grid
 from spe.nonlocal_source import cumulative_primitive
-from spe.scenarios import preset_initial
 from spe.scheme import BoundaryData, SolverConfig, State, Trajectory, run
 
 finite_floats = st.floats(-50, 50, allow_nan=False, allow_infinity=False)

@@ -11,7 +11,6 @@ from spe.fields import lp_norm, make_uniform_grid, mean
 from spe.nonlocal_source import cumulative_primitive
 from spe.scenarios import (
     builtin_scenario_path,
-    load_scenario,
     parse_scenario,
     preset_boundary,
     preset_initial,
@@ -123,6 +122,33 @@ class TestLoadScenario:
         with pytest.raises(DataValidationError, match="zero-mean"):
             parse_scenario(doc)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_file_datum_reports_l1(self, tmp_path):
+        # the running primitive of a datum with infinite L1 norm overflows;
+        # the violation is listed instead of a non-finite Field error
+        nodes = np.linspace(0, 1, 9)
+        field_file = tmp_path / "huge.csv"
+        field_file.write_text("x,u\n" + "\n".join(f"{x},1e308" for x in nodes))
+        doc = {
+            "name": "huge",
+            "grid": {"L": 1.0, "n": 8},
+            "time": {"T": 1.0},
+            "epsilon": 0.01,
+            "initial": {"file": str(field_file)},
+            "boundary": {"preset": "zero"},
+        }
+        with pytest.raises(DataValidationError) as excinfo:
+            parse_scenario(doc)
+        assert excinfo.value.violations == [
+            "scenario <memory>: initial datum must be integrable (finite L1 norm)"]
+
+    def test_unbounded_file_boundary_rejected(self, s1_spec, tmp_path):
+        boundary_file = tmp_path / "g.csv"
+        boundary_file.write_text("t,g\n0.0,0.0\n1.0,inf\n")
+        doc = {**s1_spec.raw, "boundary": {"file": str(boundary_file)}}
+        with pytest.raises(DataValidationError, match="essentially bounded"):
+            parse_scenario(doc)
+
     def test_unbounded_boundary_rejected(self):
         doc = {
             "name": "bad-g",
@@ -155,6 +181,17 @@ class TestLoadScenario:
         ({"grid": {"L": 10**400, "n": 64}}, "'grid.L' must be a number"),
         ({"source_enabled": "false"}, "'source_enabled' must be true or false"),
         ({"allow_nonconforming": "false"}, "'allow_nonconforming' must be true or false"),
+        # misspelled keys, presets and parameters are bad input, not defaults
+        ({"source_enable": False}, "unknown key 'source_enable'"),
+        ({"time": {"T": 1.0, "snapshot": [0.5]}}, "unknown key 'time.snapshot'"),
+        ({"initial": {"preset": "bump-derivative", "params": {"sigm": 0.5}}},
+         "'initial.params' has unknown parameter 'sigm'"),
+        ({"boundary": {"preset": "constant", "params": {"a": 0.5, "tau": 1.0}}},
+         "'boundary.params' has unknown parameter 'tau'"),
+        ({"initial": {"preset": "bump-derivative", "file": "u0.csv"}},
+         "'initial' needs exactly one of 'preset' and 'file'"),
+        ({"epsilon": "0.01", "boundary": {"preset": "ramp"}},
+         "'epsilon' must be a number.*; .*unknown boundary preset 'ramp'"),
     ])
     def test_schema_violations_reported(self, s1_spec, change, match):
         with pytest.raises(DataValidationError, match=match):

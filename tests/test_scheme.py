@@ -6,7 +6,6 @@ implementations that share nothing with the production (vectorized) path.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -133,8 +132,10 @@ class TestBoundaryData:
             g(math.pi / 2)
 
     def test_nonfinite_bound_rejected(self):
-        with pytest.raises(ValueError):
-            BoundaryData(g=lambda t: 0.0, sup_bound=math.inf)
+        # the one owner of the bounded-boundary rule: presets and files reach it
+        for bound in (math.inf, math.nan, -1.0):
+            with pytest.raises(DataValidationError, match="essentially bounded"):
+                BoundaryData(g=lambda t: 0.0, sup_bound=bound)
 
 
 class TestStep:
