@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataValidationError
-from .fields import Field, Grid, _trapz, lp_norm, make_uniform_grid, mean
+from .fields import (Field, Grid, _running_trapezoid, _trapz, lp_norm,
+                     make_uniform_grid, mean)
 from .nonlocal_source import cumulative_primitive
 from .scheme import BoundaryData, SolverConfig, zero_mean_tolerance
 
@@ -157,10 +158,15 @@ def _validate_admissibility(u0: Field) -> list:
             f"nonzero mean violates the zero-mean requirement int u0 dx = 0 "
             f"(mean = {m:.6g})"
         )
-    # build the primitive only from a finite L1 norm: its overflow would hide this list
     if not np.isfinite(l1):
         violations.append("initial datum must be integrable (finite L1 norm)")
-    elif not np.isfinite(lp_norm(cumulative_primitive(u0), 2)):
+        return violations
+    # a finite L1 norm can still overflow the running primitive, which adds
+    # neighbouring samples before halving; its Field would raise before this
+    # list is reported, so the primitive is tested for finiteness first
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(_running_trapezoid(u0.values, u0.grid.dx)).all()
+    if not (finite and np.isfinite(lp_norm(cumulative_primitive(u0), 2))):
         violations.append("initial primitive must be square integrable")
     return violations
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,32 @@ class TestLoadScenario:
             parse_scenario(doc)
         assert excinfo.value.violations == [
             "scenario <memory>: initial datum must be integrable (finite L1 norm)"]
+
+    def test_overflowing_primitive_reports_violations(self, tmp_path):
+        # ||u0||_1 is finite, but the running primitive adds u[0] + u[1]
+        # before halving and overflows: both violations are listed, silently
+        nodes = np.linspace(0, 1, 9)
+        values = [1e308, 1e308] + [0.0] * 7
+        field_file = tmp_path / "spike.csv"
+        field_file.write_text(
+            "x,u\n" + "\n".join(f"{x},{u}" for x, u in zip(nodes, values)))
+        doc = {
+            "name": "spike",
+            "grid": {"L": 1.0, "n": 8},
+            "time": {"T": 1.0},
+            "epsilon": 0.01,
+            "initial": {"file": str(field_file)},
+            "boundary": {"preset": "zero"},
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataValidationError) as excinfo:
+                parse_scenario(doc)
+        violations = excinfo.value.violations
+        assert len(violations) == 2
+        assert "nonzero mean" in violations[0]
+        assert violations[1] == (
+            "scenario <memory>: initial primitive must be square integrable")
 
     def test_unbounded_file_boundary_rejected(self, s1_spec, tmp_path):
         boundary_file = tmp_path / "g.csv"

@@ -6,12 +6,19 @@ implementations that share nothing with the production (vectorized) path.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
+import spe
+from spe import scheme
 from spe.errors import BlowUpError, DataValidationError
 from spe.fields import Field, lp_norm, make_uniform_grid, mean
 from spe.nonlocal_source import cumulative_primitive
@@ -450,3 +457,58 @@ class TestBlowUpAtSource:
         with pytest.raises(TypeError):
             step(state, config, BoundaryData.zero(),
                  workspace=Workspace(grid, state.t, state.u.values, state.P.values))
+
+
+def _same_bits(ours, theirs):
+    """Outputs of two dptsv calls agree bit for bit, info included."""
+    assert len(ours) == len(theirs) == 4
+    for a, b in zip(ours, theirs):
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+class TestDptsv:
+    """The LAPACK routine of the IMEX stage, loaded without the package init
+    of scipy.linalg."""
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # a silent fall back to the public import would load scipy.linalg
+        code = (
+            "import sys\n"
+            "import spe.cli\n"
+            "from spe.scenarios import builtin_scenario_path, load_scenario\n"
+            "load_scenario(builtin_scenario_path('s1'))\n"
+            "print([m for m in sys.modules"
+            " if m == 'scipy.linalg' or m.startswith('scipy.linalg.')])\n"
+        )
+        # the subprocess imports this spe, wherever it was imported from
+        path = [str(Path(spe.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("n", [1, 2, 2000, 4000])
+    def test_same_routine_as_scipy_linalg(self, n):
+        rng = np.random.default_rng(n)
+        for r in np.geomspace(1e-3, 1e4, 8):
+            # the kernel's system: diagonal 1 + 2r, off-diagonal -r (one
+            # element at least, as for a single interior node)
+            d = np.full(n, 1.0 + 2.0 * r)
+            e = np.full(max(n - 1, 1), -r)
+            b = rng.standard_normal(n)
+            _same_bits(scheme.dptsv(d.copy(), e.copy(), b.copy()),
+                       lapack.dptsv(d.copy(), e.copy(), b.copy()))
+
+    def test_same_info_on_indefinite_system(self):
+        d, e, b = np.array([1.0, -5.0, 1.0]), np.array([2.0, 2.0]), np.ones(3)
+        ours = scheme.dptsv(d.copy(), e.copy(), b.copy())
+        assert ours[3] != 0
+        _same_bits(ours, lapack.dptsv(d.copy(), e.copy(), b.copy()))
+
+    def test_falls_back_to_public_import(self, tmp_path):
+        loaded = scheme._load_dptsv([str(tmp_path)])
+        assert loaded is lapack.dptsv
+        d, e, b = np.full(5, 3.0), np.full(4, -1.0), np.arange(5.0)
+        _same_bits(loaded(d.copy(), e.copy(), b.copy()),
+                   scheme.dptsv(d.copy(), e.copy(), b.copy()))
