@@ -35,6 +35,7 @@ __all__ = [
     "TraceRecord",
     "extract_trace",
     "entropy_residual",
+    "entropy_residuals",
     "entropy_tolerance",
 ]
 
@@ -218,18 +219,22 @@ def entropy_tolerance(phi: TestFunction, traj: Trajectory) -> float:
     return 10.0 * (dx + dt_snap) * scale
 
 
-def entropy_residual(
+def entropy_residuals(
     traj: Trajectory,
-    pair: EntropyPair,
+    constants,
     phi: TestFunction,
     trace: TraceRecord,
-) -> float:
-    """Space-time quadrature of the inequality's left-hand side.
+) -> np.ndarray:
+    """Space-time quadrature of the inequality's left-hand side, one entry
+    per Kruzhkov constant c in ``constants``, for one test function.
 
     Nonnegative (up to quadrature tolerance) for admissible solutions.  The
     nonlocal term is dropped when the trajectory was computed with the
     source disabled (shock-validation runs solve the pure conservation law,
-    whose inequality has no source term).
+    whose inequality has no source term).  Everything that does not depend
+    on c (the checks, the support box, the weighted phi, phi_t and phi_x,
+    U and U^3, g and the trace cube) is computed once; each constant then
+    costs a few passes over the box arrays.
     """
     grid = traj.config.grid
     T = traj.config.final_time
@@ -248,7 +253,6 @@ def entropy_residual(
     ):
         raise ValueError("trace record does not match the trajectory snapshots")
     xs = grid.nodes
-    c = pair.c
 
     # trapezoid weights in t (general spacing) and x (uniform) of the whole
     # grid; the sums run over phi's support box only
@@ -260,24 +264,41 @@ def entropy_residual(
     W = np.outer(wt, wx)
 
     U = np.stack([s.u.values[cols] for s in snaps])
-    interior = np.sum(
-        W * (np.abs(U - c) * phi.dphi_dt(times, xs)
-             + kruzhkov_flux(U, c) * phi.dphi_dx(times, xs))
-    )
-
-    source = 0.0
-    if traj.config.include_source:
+    U3 = U * U * U
+    W_phi_t = W * phi.dphi_dt(times, xs)
+    W_phi_x = W * phi.dphi_dx(times, xs)
+    sourced = traj.config.include_source
+    if sourced:
         P = np.stack([s.P.values[cols] for s in snaps])
-        source = np.sum(W * np.sign(U - c) * P * phi.phi(times, xs))
+        W_P_phi = W * P * phi.phi(times, xs)
 
     g_vals = np.array([traj.g(t) for t in times])
-    phi_t0 = phi.phi(times, np.array([0.0]))[:, 0]
-    boundary = np.sum(
-        wt * np.sign(g_vals - c) * (trace.u_trace[rows]**3 - c**3) * phi_t0
-    )
-
+    trace3 = trace.u_trace[rows] ** 3
+    wt_phi_t0 = wt * phi.phi(times, np.array([0.0]))[:, 0]
     u0 = traj.initial.u.values[cols]
-    phi_0x = phi.phi(np.array([0.0]), xs)[0]
-    initial = np.sum(wx * np.abs(u0 - c) * phi_0x)
+    wx_phi_0x = wx * phi.phi(np.array([0.0]), xs)[0]
 
-    return float(interior + source + boundary + initial)
+    out = np.empty(len(constants))
+    for k, c in enumerate(constants):
+        c = float(c)
+        c3 = c**3
+        D = U - c
+        sgn = np.sign(D)
+        integrand = np.abs(D) * W_phi_t + sgn * (U3 - c3) * W_phi_x
+        if sourced:
+            integrand += sgn * W_P_phi
+        boundary = np.sum(np.sign(g_vals - c) * (trace3 - c3) * wt_phi_t0)
+        initial = np.sum(np.abs(u0 - c) * wx_phi_0x)
+        out[k] = np.sum(integrand) + boundary + initial
+    return out
+
+
+def entropy_residual(
+    traj: Trajectory,
+    pair: EntropyPair,
+    phi: TestFunction,
+    trace: TraceRecord,
+) -> float:
+    """The inequality's left-hand side for one entropy pair: the one-constant
+    case of ``entropy_residuals``."""
+    return float(entropy_residuals(traj, [pair.c], phi, trace)[0])

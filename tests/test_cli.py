@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spe.cli import main
+from spe import cli
+from spe.cli import MAX_ENTROPY_ROWS, main
+from spe.entropy import (
+    EntropyPair,
+    entropy_residual,
+    entropy_tolerance,
+    extract_trace,
+    make_bump_family,
+)
+from spe.fields import lp_norm
 from spe.scenarios import (
     _PRESETS,
     _SCHEMA,
@@ -87,6 +96,26 @@ class TestSolve:
                     for x, u, P in zip(xs, snap.u.values, snap.P.values)]
             assert parsed(f"snapshot_{k:03d}.csv") == want
         assert parsed("boundary.csv") == traj.boundary_series.tolist()
+
+    def test_files_are_the_row_formula(self, tmp_path, s2_spec, s2_traj):
+        # each file holds the repr of every float of its table, row by row;
+        # the columns may be formatted in any order, the text is the same
+        out = tmp_path / "out"
+        scenario = builtin_scenario_path("s2")
+        assert main(["solve", "--scenario", str(scenario), "--out", str(out)]) == 0
+
+        def text(header, table):
+            rows = [",".join(map(repr, row)) for row in table.tolist()]
+            return "\n".join([header, *rows]) + "\n"
+
+        xs = s2_spec.grid.nodes
+        assert len(list(out.glob("snapshot_*.csv"))) == len(s2_traj.snapshots)
+        for k, s in enumerate(s2_traj.snapshots):
+            table = np.column_stack((np.full(len(xs), s.t), xs, s.u.values, s.P.values))
+            written = (out / f"snapshot_{k:03d}.csv").read_bytes()
+            assert written == text("t,x,u,P", table).encode()
+        written = (out / "boundary.csv").read_bytes()
+        assert written == text("t,g,dudx0", s2_traj.boundary_series).encode()
 
     def test_inviscid_without_scheme_key(self, tmp_path):
         # epsilon = 0 alone selects the inviscid scheme
@@ -177,6 +206,57 @@ class TestEntropyCheck:
             "--out", str(out), "--constants", "3", "--bumps", "2,2",
         ])
         assert code == 0
+
+    def test_rows_match_per_pair_residuals(self, tmp_path, riemann_traj):
+        # every constant of a bump is evaluated in one pass; the rows are
+        # those of a per-pair loop, in its order: constant-major, then bump
+        out = tmp_path / "out"
+        code = main([
+            "entropy-check", "--scenario", str(builtin_scenario_path("riemann")),
+            "--out", str(out), "--constants", "5", "--bumps", "3,3",
+        ])
+        traj = riemann_traj
+        trace = extract_trace(traj)
+        sup_u = max(lp_norm(s.u, math.inf) for s in traj.snapshots)
+        bumps = make_bump_family(
+            (0.0, traj.config.final_time), (0.0, traj.config.grid.length), (3, 3)
+        )
+        expected = []
+        for c in np.linspace(-sup_u, sup_u, 5):
+            for bi, phi in enumerate(bumps):
+                r = entropy_residual(traj, EntropyPair(c=float(c)), phi, trace)
+                tol = entropy_tolerance(phi, traj)
+                expected.append((float(c), bi, r, tol, "pass" if r >= -tol else "fail"))
+        assert code == (0 if all(e[4] == "pass" for e in expected) else 1)
+        rows = read_json(out / "entropy.json")["rows"]
+        assert len(rows) == len(expected)
+        for row, (c, bi, r, tol, verdict) in zip(rows, expected):
+            assert list(row) == ["c", "bump", "residual", "tolerance", "verdict"]
+            assert (row["c"], row["bump"], row["tolerance"], row["verdict"]) == (
+                c, bi, tol, verdict)
+            assert abs(row["residual"] - r) <= 1e-13 * abs(r)
+
+    @pytest.mark.parametrize("argv", [
+        ["--constants", "1000000000000"],
+        ["--bumps", "1000000,1000000"],
+        ["--constants", str(MAX_ENTROPY_ROWS // 9 + 1), "--bumps", "3,3"],
+    ])
+    def test_oversized_table_is_an_input_error(self, tmp_path, monkeypatch, argv):
+        # rejected before the solve, so nothing the table needs is allocated
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an oversized table got past the input check")
+
+        monkeypatch.setattr(cli, "run", unreachable)
+        monkeypatch.setattr(cli, "make_bump_family", unreachable)
+        scenario = tiny_scenario(tmp_path)
+        out = tmp_path / "out"
+        code = main(["entropy-check", "--scenario", str(scenario), "--out", str(out),
+                     *argv])
+        assert code == 2
+        assert not (out / "entropy.json").exists()
+        err = read_json(out / "error.json")
+        assert err["error"] == "ValueError"
+        assert f"at most {MAX_ENTROPY_ROWS}" in err["message"]
 
     def test_zero_constants_is_an_input_error(self, tmp_path):
         # an empty (c, bump) table would pass vacuously

@@ -16,6 +16,7 @@ from spe.entropy import (
     EntropyPair,
     TraceRecord,
     entropy_residual,
+    entropy_residuals,
     entropy_tolerance,
     extract_trace,
     kruzhkov_flux,
@@ -174,6 +175,26 @@ class TestTrace:
         assert d2 <= d1 * 1.1
 
 
+class Combo:
+    """a*phi1 + b*phi2 on the whole s1 domain, exposed through the
+    TestFunction interface only (supports, phi, dphi_dt, dphi_dx)."""
+
+    t_support = (0.0, 1.0)
+    x_support = (0.0, 10.0)
+
+    def __init__(self, a, phi1, b, phi2):
+        self.a, self.phi1, self.b, self.phi2 = a, phi1, b, phi2
+
+    def phi(self, t, x):
+        return self.a * self.phi1.phi(t, x) + self.b * self.phi2.phi(t, x)
+
+    def dphi_dt(self, t, x):
+        return self.a * self.phi1.dphi_dt(t, x) + self.b * self.phi2.dphi_dt(t, x)
+
+    def dphi_dx(self, t, x):
+        return self.a * self.phi1.dphi_dx(t, x) + self.b * self.phi2.dphi_dx(t, x)
+
+
 class TestEntropyResidual:
     def zero_traj(self, n=64):
         grid = make_uniform_grid(10.0, n)
@@ -215,32 +236,29 @@ class TestEntropyResidual:
     def test_linearity_in_test_function(self, s1_traj):
         fam = make_bump_family((0.0, 1.0), (0.0, 10.0), (3, 3))
         phi1, phi2 = fam[4], fam[5]
-
-        class Combo:
-            """alpha*phi1 + beta*phi2 exposed through the TestFunction interface."""
-
-            def __init__(self, a, b):
-                self.a, self.b = a, b
-                self.t_support = (0.0, 1.0)
-                self.x_support = (0.0, 10.0)
-
-            def phi(self, t, x):
-                return self.a * phi1.phi(t, x) + self.b * phi2.phi(t, x)
-
-            def dphi_dt(self, t, x):
-                return self.a * phi1.dphi_dt(t, x) + self.b * phi2.dphi_dt(t, x)
-
-            def dphi_dx(self, t, x):
-                return self.a * phi1.dphi_dx(t, x) + self.b * phi2.dphi_dx(t, x)
-
         pair = EntropyPair(c=0.3)
         trace = extract_trace(s1_traj)
         a, b = 2.5, 0.75
-        combo_r = entropy_residual(s1_traj, pair, Combo(a, b), trace)
+        combo_r = entropy_residual(s1_traj, pair, Combo(a, phi1, b, phi2), trace)
         parts = a * entropy_residual(s1_traj, pair, phi1, trace) + b * entropy_residual(
             s1_traj, pair, phi2, trace
         )
         assert combo_r == pytest.approx(parts, rel=1e-12, abs=1e-12)
+
+    def test_constant_vector_linear_in_test_function(self, s1_traj):
+        # the one-pass evaluation reaches phi only through phi, dphi_dt and
+        # dphi_dx, like the one-constant case
+        fam = make_bump_family((0.0, 1.0), (0.0, 10.0), (3, 3))
+        phi1, phi2 = fam[4], fam[5]
+        trace = extract_trace(s1_traj)
+        constants = [-0.8, -0.1, 0.0, 0.3, 1.2]
+        a, b = 2.5, 0.75
+        combo_r = entropy_residuals(s1_traj, constants, Combo(a, phi1, b, phi2), trace)
+        parts = a * entropy_residuals(s1_traj, constants, phi1, trace) + b * (
+            entropy_residuals(s1_traj, constants, phi2, trace)
+        )
+        assert combo_r.shape == (len(constants),)
+        np.testing.assert_allclose(combo_r, parts, rtol=1e-12, atol=1e-12)
 
     def test_reduces_to_weak_form_below_minimum(self, s1_traj):
         # for c under the global minimum the Kruzhkov residual differs from
@@ -392,6 +410,29 @@ class TestSupportBoxQuadrature:
             r = entropy_residual(traj, EntropyPair(c=c), phi, trace)
             assert abs(r - ref) <= 1e-13 * (1.0 + abs(ref))
             assert entropy_tolerance(phi, traj) == full_grid_tolerance(phi, traj)
+
+    @given(
+        constants=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=8),
+        kt=st.integers(1, 6),
+        kx=st.integers(1, 6),
+        t_end=st.floats(0.3, 1.0),
+        x_end=st.floats(1.0, 6.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_constant_vector_matches_full_grid_quadrature(
+        self, constants, kt, kx, t_end, x_end
+    ):
+        # one pass over a bump evaluates every constant; each entry is the
+        # full-grid quadrature, and exactly the one-constant residual
+        traj, trace = box_trajectory()
+        family = make_bump_family((0.0, t_end), (0.0, x_end), (kt, kx))
+        for phi in family:
+            rs = entropy_residuals(traj, constants, phi, trace)
+            assert rs.shape == (len(constants),)
+            for c, r in zip(constants, rs):
+                ref = full_grid_residual(traj, c, phi, trace)
+                assert abs(r - ref) <= 1e-13 * (1.0 + abs(ref))
+                assert entropy_residual(traj, EntropyPair(c=c), phi, trace) == r
 
     @pytest.mark.parametrize("name", ["s1_traj", "riemann_traj"])
     def test_tile_edges_on_grid_points(self, request, name):
