@@ -222,6 +222,13 @@ def _cmd_entropy(spec: ScenarioSpec, out: Path, args) -> int:
 
 
 def _cmd_stability(spec: ScenarioSpec, out: Path, args) -> int:
+    # checked before the two runs, which a non-finite value would waste
+    if not math.isfinite(args.delta):
+        raise ValueError(f"--delta must be finite, got {args.delta}")
+    C = args.stability_C
+    if C is not None and not 0.0 < C < math.inf:
+        raise ValueError(
+            f"--stability-C, the stability constant, must be positive and finite, got {C}")
     base = _run_scenario(spec, args.strict_compat)
     L = spec.grid.length
     bump = preset_initial(
@@ -231,7 +238,6 @@ def _cmd_stability(spec: ScenarioSpec, out: Path, args) -> int:
     )
     perturbed_u0 = Field(spec.grid, spec.initial.values + bump.values)
     pert = _run_scenario(replace(spec, initial=perturbed_u0), args.strict_compat)
-    C = args.stability_C
     if C is None:
         C = default_stability_constant(base, pert)
     rec = stability_compare(base, pert, args.stability_R, C)

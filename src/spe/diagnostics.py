@@ -226,8 +226,8 @@ def stability_compare(
         raise ValueError("trajectories live on different grids")
     if not (0.0 < window <= grid.length):
         raise ValueError("window must lie inside the domain")
-    if C <= 0.0:
-        raise ValueError("stability constant must be positive")
+    if not 0.0 < C < math.inf:
+        raise ValueError(f"stability constant must be positive and finite, got {C}")
     t_u, t_v = traj_u.times, traj_v.times
     if len(t_u) != len(t_v) or np.any(np.abs(t_u - t_v) > 1e-10):
         raise ValueError("trajectories must share snapshot times")

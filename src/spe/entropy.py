@@ -28,7 +28,6 @@ from .scheme import Trajectory
 
 __all__ = [
     "EntropyPair",
-    "kruzhkov_flux",
     "BumpProfile",
     "TestFunction",
     "make_bump_family",
@@ -40,15 +39,10 @@ __all__ = [
 ]
 
 
-def kruzhkov_flux(u, c):
-    """sgn(u - c) * (u^3 - c^3), with sgn(0) = 0.  Works on scalars and arrays."""
-    return np.sign(u - c) * (u * u * u - c**3)
-
-
 @dataclass(frozen=True)
 class EntropyPair:
     """Kruzhkov entropy/flux pair for the constant c: eta(u) = |u - c| and
-    q(u) = kruzhkov_flux(u, c)."""
+    q(u) = sgn(u - c)(u^3 - c^3)."""
 
     c: float
 

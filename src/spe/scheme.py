@@ -24,23 +24,34 @@ Advection uses first-order left-biased upwinding on the conservative flux
 u^3 (the characteristic speed 3u^2 is never negative, so information always
 enters from the boundary side).  The viscosity alone decides the scheme:
 diffusion (eps > 0, "imex") is backward Euler, whose tridiagonal matrix is
-symmetric positive definite and is solved by LAPACK ``dptsv``; the inviscid
-scheme (eps = 0, "explicit") has no diffusion stage.
+symmetric positive definite; the inviscid scheme (eps = 0, "explicit") has
+no diffusion stage.
 
 ``run`` advances a ``Workspace``: the current u and P plus scratch arrays,
 allocated once per run, that ``step`` overwrites in place.  ``Field`` and
 ``State`` objects are built only for the initial datum and at snapshot
 landings.
 
-``dptsv`` is taken from scipy's compiled ``linalg/_flapack`` extension,
-located without importing scipy and loaded as ``spe._flapack``: the same
-Fortran routine as ``scipy.linalg.lapack.dptsv``, without the package init
-of ``scipy.linalg`` (its array-API layer and every linalg submodule).  That
-init was about two thirds of the import of ``spe.cli``; skipping it cuts
-``import spe.cli`` plus loading a scenario from about 0.5 s to 0.2 s and
-the peak resident memory from 57 to 32 MB on a 2-core Xeon.  ``_flapack``
-is a private scipy name, so when it is not found the public import is
-used instead.
+The diffusion matrix has diagonal 1 + 2r and off-diagonal -r (r = eps dt /
+dx^2) and is solved as LAPACK ``dptsv`` solves it, ``dpttrf`` (factor) then
+``dpttrs`` (solve), except that ``_factor_diffusion`` factors only a prefix
+of the rows.  Each pivot is a fixed function of the one before, d_{i+1} =
+(1 + 2r) - (-r / d_i)(-r), so once the pivots repeat, every later pivot and
+multiplier is a copy of the last one.  They repeat after 6-23 rows for
+r <= 1, 76 at r = 16 and about 1400 at r = 1e4, and the solution is
+``dptsv``'s bit for bit.  At n = 4000 (3999 rows) one solve fell from
+60-73 to 33-44 us on a 2-core Xeon, and a step of the n = 4000 viscosity
+sweep from about 160 to 110 us.
+
+The LAPACK routines are taken from scipy's compiled ``linalg/_flapack``
+extension, located without importing scipy and loaded as ``spe._flapack``:
+the same Fortran routines as ``scipy.linalg.lapack``, without the package
+init of ``scipy.linalg`` (its array-API layer and every linalg submodule).
+That init was about two thirds of the import of ``spe.cli``; skipping it
+cuts ``import spe.cli`` plus loading a scenario from about 0.5 s to 0.2 s
+and the peak resident memory from 57 to 32 MB on a 2-core Xeon.
+``_flapack`` is a private scipy name, so when it is not found the public
+module is used instead.
 """
 
 from __future__ import annotations
@@ -72,25 +83,31 @@ __all__ = [
 ]
 
 
-def _load_dptsv(search_path: list[str]):
-    """LAPACK ``dptsv`` from the ``_flapack`` extension found on
+def _load_flapack(search_path: list[str]):
+    """scipy's LAPACK wrappers: the ``_flapack`` extension found on
     ``search_path``, loaded as ``spe._flapack`` (never under a ``scipy``
-    name); the public ``scipy.linalg.lapack`` import when none is found."""
+    name); the public ``scipy.linalg.lapack`` module when none is found."""
     found = importlib.machinery.PathFinder.find_spec("_flapack", search_path)
     if found is None:
-        from scipy.linalg.lapack import dptsv
+        from scipy.linalg import lapack
 
-        return dptsv
+        return lapack
     spec = importlib.util.spec_from_file_location("spe._flapack", found.origin)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.dptsv
+    return module
 
 
 # find_spec of a top-level package locates it without importing it
 _scipy = importlib.util.find_spec("scipy")
-dptsv = _load_dptsv([os.path.join(path, "linalg")
-                     for path in _scipy.submodule_search_locations] if _scipy else [])
+_lapack = _load_flapack([os.path.join(path, "linalg")
+                         for path in _scipy.submodule_search_locations] if _scipy else [])
+dpttrf, dpttrs = _lapack.dpttrf, _lapack.dpttrs
+# the module's other wrappers (about 0.1 MB resident) are not kept
+del _lapack
+
+#: rows of the diffusion matrix factored before its pivots are first compared
+FACTOR_PREFIX = 64
 
 #: floor on the characteristic speed in the CFL condition
 SPEED_FLOOR = 1e-12
@@ -215,13 +232,15 @@ def _one_sided_gradient(values: np.ndarray, dx: float) -> float:
     return float((-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dx))
 
 
-def _grad_sq(values: np.ndarray, dx: float, scratch: np.ndarray) -> float:
-    # centered differences interiorly, one-sided three-point at both ends;
+def _grad_sq(values: np.ndarray, dx: float, scratch: np.ndarray,
+             left_gradient: float) -> float:
+    # centered differences interiorly, one-sided three-point at both ends,
+    # the one at x = 0 (``_one_sided_gradient(values, dx)``) passed in;
     # ``scratch`` (same length as ``values``) is overwritten
     gr = scratch
     np.subtract(values[2:], values[:-2], out=gr[1:-1])
     gr[1:-1] /= 2.0 * dx
-    gr[0] = _one_sided_gradient(values, dx)
+    gr[0] = left_gradient
     gr[-1] = -_one_sided_gradient(values[::-1], dx)  # mirror image at x = L
     np.multiply(gr, gr, out=gr)
     return _trapz(gr, dx)
@@ -268,6 +287,40 @@ def _upwind_divergence(
     out[1:] /= dx
 
 
+def _factor_diffusion(d: np.ndarray, e: np.ndarray, r: float) -> int:
+    """Write the LAPACK ``dpttrf`` factor of the tridiagonal matrix with
+    diagonal 1 + 2r and off-diagonal -r into ``d`` (m pivots) and ``e``
+    (m - 1 multipliers, one element at least); return dpttrf's info.
+
+    Each pivot is a fixed function of the one before, d_{i+1} = (1 + 2r) -
+    (-r / d_i)(-r), so once the pivots repeat every later pivot and
+    multiplier is known.  A prefix of the rows is factored in place, and
+    when its last five pivots are equal, the last pivot and multiplier are
+    copied down the rest of the arrays.  Otherwise the prefix doubles, or
+    grows to all m rows once a doubled one would pass m / 2, so fewer than
+    2m rows are factored in all.  dpttrf unrolls its loop by 4 after
+    ``mod(m - 1, 4)`` rows, so a prefix stays congruent to m mod 4: every
+    row goes through the same unrolled copy as in the full factorization,
+    and five equal pivots show each copy at its fixed point.  The result is
+    the full factorization bit for bit.
+    """
+    m = d.shape[0]
+    k = FACTOR_PREFIX
+    while True:
+        k = min(m, k + (m - k) % 4)
+        d[:k].fill(1.0 + 2.0 * r)
+        e[:k - 1].fill(-r)
+        info = dpttrf(d[:k], e[:max(k - 1, 1)], overwrite_d=1, overwrite_e=1)[2]
+        if info != 0 or k == m:
+            return info
+        p = d[k - 1]
+        if d[k - 5] == p and d[k - 4] == p and d[k - 3] == p and d[k - 2] == p:
+            d[k:].fill(p)
+            e[k - 1:].fill(e[k - 2])
+            return 0
+        k = 2 * k if 4 * k <= m else m
+
+
 class Workspace:
     """One time level held in plain arrays, advanced in place by ``step``.
 
@@ -289,13 +342,15 @@ class Workspace:
         self.spare = np.empty(n)
         self.scratch = np.empty(n)
         self.diag = np.empty(n - 2)
-        # dptsv takes a one-element off-diagonal for a single interior node
+        # the LAPACK wrappers take a one-element off-diagonal for a single
+        # interior node
         self.offdiag = np.empty(max(n - 3, 1))
         self.weight = _projection_weight(grid)
         self.g_value = math.nan
         with np.errstate(over="ignore"):
             self.boundary_gradient = _one_sided_gradient(self.u, grid.dx)
-            self.grad_sq = _grad_sq(self.u, grid.dx, self.scratch)
+            self.grad_sq = _grad_sq(self.u, grid.dx, self.scratch,
+                                    self.boundary_gradient)
 
     def state(self) -> State:
         """The current time level as a State of read-only Fields (copied and
@@ -361,16 +416,14 @@ def step(
         if config.eps > 0.0:
             # (I - r D2) u = ustar on interior nodes; the Dirichlet value
             # g_new enters the right-hand side (the right one is 0).  The
-            # slice is contiguous float64, so dptsv solves in place into it.
+            # slice is contiguous float64, so dpttrs solves in place into it.
             r = config.eps * dt / (dx * dx)
             rhs = new[1:-1]
             rhs[0] += r * g_new
-            ws.diag.fill(1.0 + 2.0 * r)
-            ws.offdiag.fill(-r)
-            info = dptsv(ws.diag, ws.offdiag, rhs,
-                         overwrite_d=1, overwrite_e=1, overwrite_b=1)[3]
+            info = (_factor_diffusion(ws.diag, ws.offdiag, r)
+                    or dpttrs(ws.diag, ws.offdiag, rhs, overwrite_b=1)[1])
             if info != 0:
-                raise BlowUpError(t_new, f"diffusion solve failed (dptsv info={info})")
+                raise BlowUpError(t_new, f"diffusion solve failed (LAPACK info={info})")
         new[0] = g_new
         new[-1] = 0.0
 
@@ -395,7 +448,7 @@ def step(
         ws.t = t_new
         ws.g_value = g_new
         ws.boundary_gradient = _one_sided_gradient(new, dx)
-        ws.grad_sq = _grad_sq(new, dx, ws.scratch)
+        ws.grad_sq = _grad_sq(new, dx, ws.scratch, ws.boundary_gradient)
     return ws.state() if workspace is None else None
 
 

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -320,20 +321,44 @@ class TestStability:
         assert main(["stability", "--scenario", str(scenario), "--out", str(out)]) == 0
         assert read_json(out / "stability.json")["verdict"] == "pass"
 
-    @pytest.mark.parametrize("C", ["0", "-1"])
-    def test_nonpositive_constant_is_an_input_error(self, tmp_path, C):
-        # C = 0 must reach the comparator's check, not fall back to 3M^2+1
+    @pytest.mark.parametrize("C", ["0", "-1", "inf", "nan"])
+    def test_nonpositive_constant_is_an_input_error(self, tmp_path, capsys, C):
+        # C = 0 must reach the check, not fall back to 3M^2+1; a non-finite
+        # C is rejected before the runs, not read as a window of nan
         scenario = tiny_scenario(tmp_path)
         out = tmp_path / "out"
-        code = main([
-            "stability", "--scenario", str(scenario), "--out", str(out),
-            "--stability-C", C,
-        ])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "stability", "--scenario", str(scenario), "--out", str(out),
+                "--stability-C", C,
+            ])
         assert code == 2
         assert not (out / "stability.json").exists()
         err = read_json(out / "error.json")
         assert err["error"] == "ValueError"
+        assert "--stability-C" in err["message"]
         assert "stability constant" in err["message"]
+        assert caught == []
+        assert capsys.readouterr().err == f"error: {err['message']}\n"
+
+    @pytest.mark.parametrize("delta", ["inf", "-inf", "nan"])
+    def test_nonfinite_delta_is_an_input_error(self, tmp_path, capsys, delta):
+        scenario = tiny_scenario(tmp_path)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "stability", "--scenario", str(scenario), "--out", str(out),
+                f"--delta={delta}",
+            ])
+        assert code == 2
+        assert not (out / "stability.json").exists()
+        err = read_json(out / "error.json")
+        assert err == {"error": "ValueError",
+                       "message": f"--delta must be finite, got {float(delta)}"}
+        assert caught == []
+        assert capsys.readouterr().err == f"error: {err['message']}\n"
 
 
 class TestSweep:

@@ -143,8 +143,9 @@ class TestStabilityCompare:
             stability_compare(s1_traj, s1_traj, window=0.0, C=5.0)
         with pytest.raises(ValueError):
             stability_compare(s1_traj, s1_traj, window=11.0, C=5.0)
-        with pytest.raises(ValueError):
-            stability_compare(s1_traj, s1_traj, window=4.0, C=0.0)
+        for C in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="stability constant"):
+                stability_compare(s1_traj, s1_traj, window=4.0, C=C)
 
     def test_overflowing_growth_factor_is_an_input_error(self, s1_traj):
         # e^(Ct) beyond the largest float: a typed error, not OverflowError

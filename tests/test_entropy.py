@@ -19,14 +19,11 @@ from spe.entropy import (
     entropy_residuals,
     entropy_tolerance,
     extract_trace,
-    kruzhkov_flux,
     make_bump_family,
 )
 from spe.fields import Field, make_uniform_grid
 from spe.nonlocal_source import cumulative_primitive
 from spe.scheme import BoundaryData, SolverConfig, State, Trajectory, run
-
-finite_floats = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
 
 def synthetic_trajectory(grid, times, profiles, g, eps=0.0, include_source=True):
@@ -55,36 +52,6 @@ def synthetic_trajectory(grid, times, profiles, g, eps=0.0, include_source=True)
         grad_sq_series=np.zeros(len(states)),
         step_log=np.diff(np.asarray(times, dtype=float)),
     )
-
-
-class TestKruzhkovFlux:
-    def test_examples(self):
-        assert kruzhkov_flux(2.0, 0.0) == 8.0
-        assert kruzhkov_flux(1.3, 1.3) == 0.0
-        assert kruzhkov_flux(-1.0, 1.0) == 2.0
-
-    @given(finite_floats, finite_floats)
-    @settings(max_examples=100)
-    def test_symmetric_under_argument_swap(self, u, c):
-        assert kruzhkov_flux(u, c) == pytest.approx(
-            kruzhkov_flux(c, u), rel=1e-12, abs=1e-12
-        )
-
-    @given(finite_floats, finite_floats)
-    @settings(max_examples=100)
-    def test_magnitude(self, u, c):
-        assert abs(kruzhkov_flux(u, c)) == pytest.approx(
-            abs(u**3 - c**3), rel=1e-12, abs=1e-12
-        )
-
-    def test_flux_derivative_compatibility(self):
-        # q'(u) = 3 u^2 eta'(u) with eta(u) = |u - c|, away from the kink,
-        # by finite differences
-        c = 0.7
-        for u in (-1.5, -0.2, 0.9, 2.0):
-            h = 1e-6
-            dq = (kruzhkov_flux(u + h, c) - kruzhkov_flux(u - h, c)) / (2 * h)
-            assert dq == pytest.approx(3 * u**2 * np.sign(u - c), rel=1e-4)
 
 
 class TestBumpFamily:

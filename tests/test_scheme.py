@@ -459,17 +459,36 @@ class TestBlowUpAtSource:
                  workspace=Workspace(grid, state.t, state.u.values, state.P.values))
 
 
+def _kernel_solve(b, r):
+    """The IMEX stage's solve of (1 + 2r, -r) x = b, as ``step`` makes it:
+    ``_factor_diffusion``, then ``dpttrs`` in place.  Returns (x, info)."""
+    m = b.shape[0]
+    d, e, x = np.empty(m), np.empty(max(m - 1, 1)), b.copy()
+    info = scheme._factor_diffusion(d, e, r)
+    if info == 0:
+        info = scheme.dpttrs(d, e, x, overwrite_b=1)[1]
+    return x, info
+
+
+def _public_dptsv(b, r):
+    """``scipy.linalg.lapack.dptsv`` on the same system: (x, info)."""
+    m = b.shape[0]
+    d, e = np.full(m, 1.0 + 2.0 * r), np.full(max(m - 1, 1), -r)
+    return lapack.dptsv(d, e, b.copy())[2:]
+
+
 def _same_bits(ours, theirs):
-    """Outputs of two dptsv calls agree bit for bit, info included."""
-    assert len(ours) == len(theirs) == 4
-    for a, b in zip(ours, theirs):
-        a, b = np.asarray(a), np.asarray(b)
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    """Two (x, info) results agree bit for bit."""
+    (x, info), (y, their_info) = ours, theirs
+    assert info == their_info
+    x, y = np.asarray(x), np.asarray(y)
+    assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
 
 
 class TestDptsv:
-    """The LAPACK routine of the IMEX stage, loaded without the package init
-    of scipy.linalg."""
+    """The IMEX stage's diffusion solve: LAPACK loaded without the package
+    init of scipy.linalg, and a prefix factorization that gives
+    ``scipy.linalg.lapack.dptsv``'s solution bit for bit."""
 
     def test_import_leaves_scipy_linalg_unloaded(self):
         # a silent fall back to the public import would load scipy.linalg
@@ -488,27 +507,68 @@ class TestDptsv:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("n", [1, 2, 2000, 4000])
+    # every residue of m mod 4 (dpttrf's unrolling), shorter and longer than
+    # the first prefix, and the kernel's sizes at n = 2000 and 4000
+    @pytest.mark.parametrize(
+        "n", [*range(1, 41), 1999, 2000, 2001, 3998, 3999, 4000, 4001])
     def test_same_routine_as_scipy_linalg(self, n):
         rng = np.random.default_rng(n)
-        for r in np.geomspace(1e-3, 1e4, 8):
-            # the kernel's system: diagonal 1 + 2r, off-diagonal -r (one
-            # element at least, as for a single interior node)
-            d = np.full(n, 1.0 + 2.0 * r)
-            e = np.full(max(n - 1, 1), -r)
+        # r = 1e6 never settles within 4001 rows: the full factorization
+        for r in [0.0, *np.geomspace(1e-3, 1e6, 12)]:
             b = rng.standard_normal(n)
-            _same_bits(scheme.dptsv(d.copy(), e.copy(), b.copy()),
-                       lapack.dptsv(d.copy(), e.copy(), b.copy()))
+            _same_bits(_kernel_solve(b, r), _public_dptsv(b, r))
 
     def test_same_info_on_indefinite_system(self):
-        d, e, b = np.array([1.0, -5.0, 1.0]), np.array([2.0, 2.0]), np.ones(3)
-        ours = scheme.dptsv(d.copy(), e.copy(), b.copy())
-        assert ours[3] != 0
-        _same_bits(ours, lapack.dptsv(d.copy(), e.copy(), b.copy()))
+        # r < 0 makes a pivot nonpositive within the first prefix
+        for n in (3, 100, 3999):
+            b = np.ones(n)
+            for r in (-1.0, -0.3):
+                ours = _kernel_solve(b, r)
+                assert ours[1] != 0
+                _same_bits(ours, _public_dptsv(b, r))
+
+    def _count_rows(self, monkeypatch):
+        rows = []
+
+        def counted(d, e, **kwargs):
+            rows.append(d.shape[0])
+            return dpttrf(d, e, **kwargs)
+
+        dpttrf = scheme.dpttrf
+        monkeypatch.setattr(scheme, "dpttrf", counted)
+        return rows
+
+    def test_factors_a_short_prefix(self, monkeypatch):
+        # r = 16 is about the largest r of the n=4000 viscosity sweep; its
+        # pivots repeat after 76 rows of 3999
+        rows = self._count_rows(monkeypatch)
+        b = np.random.default_rng(0).standard_normal(3999)
+        _same_bits(_kernel_solve(b, 16.0), _public_dptsv(b, 16.0))
+        assert sum(rows) < 300
+        assert all(k % 4 == 3999 % 4 for k in rows)
+
+    def test_factors_all_rows_when_pivots_never_repeat(self, monkeypatch):
+        rows = self._count_rows(monkeypatch)
+        b = np.random.default_rng(1).standard_normal(3999)
+        _same_bits(_kernel_solve(b, 1e6), _public_dptsv(b, 1e6))
+        assert rows[-1] == 3999
+        assert sum(rows) < 2 * 3999
 
     def test_falls_back_to_public_import(self, tmp_path):
-        loaded = scheme._load_dptsv([str(tmp_path)])
-        assert loaded is lapack.dptsv
-        d, e, b = np.full(5, 3.0), np.full(4, -1.0), np.arange(5.0)
-        _same_bits(loaded(d.copy(), e.copy(), b.copy()),
-                   scheme.dptsv(d.copy(), e.copy(), b.copy()))
+        loaded = scheme._load_flapack([str(tmp_path)])
+        assert loaded is lapack
+        d, e = np.full(5, 3.0), np.full(4, -1.0)
+        ours = scheme.dpttrf(d.copy(), e.copy())
+        theirs = loaded.dpttrf(d.copy(), e.copy())
+        for a, b in zip(ours, theirs):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_single_interior_node(self):
+        # n = 2: the diffusion solve has one unknown and a one-element
+        # off-diagonal
+        grid = make_uniform_grid(10.0, 2)
+        g = BoundaryData(g=lambda t: 0.5 * math.sin(t), sup_bound=0.5)
+        config = SolverConfig(eps=1e-2, grid=grid, final_time=1.0)
+        traj = run(Field(grid, np.zeros(3)), g, config)
+        assert traj.final.t == 1.0
+        assert traj.final.u.values[0] == g(1.0) and traj.final.u.values[-1] == 0.0
