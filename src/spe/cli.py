@@ -168,22 +168,8 @@ def _cmd_invariants(spec: ScenarioSpec, out: Path, args) -> int:
     return 0 if all(r.verdict == "pass" for r in records) else 1
 
 
-def _parse_bumps(text: str) -> tuple:
-    message = f"--bumps must be two positive integers kt,kx, got {text!r}"
-    try:
-        kt, kx = (int(v) for v in text.split(","))
-    except ValueError:
-        raise ValueError(message) from None
-    if kt < 1 or kx < 1:
-        raise ValueError(message)
-    return kt, kx
-
-
 def _cmd_entropy(spec: ScenarioSpec, out: Path, args) -> int:
-    if args.constants < 1:
-        raise ValueError(f"--constants must be at least 1, got {args.constants}")
-    counts = _parse_bumps(args.bumps)
-    table_rows = args.constants * math.prod(counts)
+    table_rows = args.constants * math.prod(args.bumps)
     if table_rows > MAX_ENTROPY_ROWS:
         raise ValueError(
             f"--constants times the --bumps tiles kt*kx must be at most "
@@ -194,7 +180,7 @@ def _cmd_entropy(spec: ScenarioSpec, out: Path, args) -> int:
     sup_u = max(lp_norm(s.u, math.inf) for s in traj.snapshots)
     constants = np.linspace(-sup_u, sup_u, args.constants)
     bumps = make_bump_family(
-        (0.0, spec.config.final_time), (0.0, spec.grid.length), counts
+        (0.0, spec.config.final_time), (0.0, spec.grid.length), args.bumps
     )
     tolerances = [entropy_tolerance(phi, traj) for phi in bumps]
     residuals = [entropy_residuals(traj, constants, phi, trace) for phi in bumps]
@@ -222,15 +208,11 @@ def _cmd_entropy(spec: ScenarioSpec, out: Path, args) -> int:
 
 
 def _cmd_stability(spec: ScenarioSpec, out: Path, args) -> int:
-    # checked before the two runs, which a non-finite value would waste
-    if not math.isfinite(args.delta):
-        raise ValueError(f"--delta must be finite, got {args.delta}")
-    C = args.stability_C
-    if C is not None and not 0.0 < C < math.inf:
-        raise ValueError(
-            f"--stability-C, the stability constant, must be positive and finite, got {C}")
-    base = _run_scenario(spec, args.strict_compat)
     L = spec.grid.length
+    if args.stability_R > L:  # checked before the two runs it would waste
+        raise ValueError(f"argument --stability-R: the window must be at most "
+                         f"the domain length L = {L!r}, got {args.stability_R!r}")
+    base = _run_scenario(spec, args.strict_compat)
     bump = preset_initial(
         "bump-derivative",
         {"a": args.delta, "x0": L / 4.0, "sigma": L / 20.0},
@@ -238,6 +220,7 @@ def _cmd_stability(spec: ScenarioSpec, out: Path, args) -> int:
     )
     perturbed_u0 = Field(spec.grid, spec.initial.values + bump.values)
     pert = _run_scenario(replace(spec, initial=perturbed_u0), args.strict_compat)
+    C = args.stability_C
     if C is None:
         C = default_stability_constant(base, pert)
     rec = stability_compare(base, pert, args.stability_R, C)
@@ -246,14 +229,15 @@ def _cmd_stability(spec: ScenarioSpec, out: Path, args) -> int:
 
 
 def _cmd_sweep(spec: ScenarioSpec, out: Path, args) -> int:
-    epsilons = [float(e) for e in args.epsilons.split(",")]
-    rec = epsilon_sweep(spec.initial, spec.boundary, spec.config, epsilons)
+    rec = epsilon_sweep(spec.initial, spec.boundary, spec.config, args.epsilons)
     write_json(out / "sweep.json", rec.as_dict())
     return 0 if rec.verdict == "pass" else 1
 
 
 def _cmd_scale(spec: ScenarioSpec, out: Path, args) -> int:
-    if args.k is not None and args.c2 is not None:
+    if (args.k is None) != (args.c2 is None):
+        raise ValueError("--k and --c2 are given together or not at all")
+    if args.k is not None:
         k, c2 = args.k, args.c2
     elif spec.physical is not None:
         k, c2 = spec.physical
@@ -295,30 +279,73 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _option_type(rule: str, parse, holds):
+    """An argparse ``type=``: ``parse(text)``, if that succeeds and the value
+    ``holds``; otherwise argparse reports ``argument --opt: must be <rule>,
+    got '<text>'``, which ``main`` turns into exit 2 before anything runs."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            pass
+        else:
+            if holds(value):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+
+    return convert
+
+
+def _split(parse):
+    """The comma-separated values of a text, each read by ``parse``."""
+    return lambda text: tuple(parse(item) for item in text.split(","))
+
+
+def _positive(value) -> bool:
+    return 0.0 < value < math.inf
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="spe",
         description="Short pulse equation solver and estimate verifier",
     )
+    positive = _option_type("positive and finite", float, _positive)
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("--scenario", required=True, help="scenario JSON path")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--strict-compat", action="store_true",
                         help="treat u0(0) != g(0) as an error")
-    parser.add_argument("--epsilons", default="1e-1,3e-2,1e-2,3e-3,1e-3",
-                        help="comma-separated decreasing viscosities (sweep)")
-    parser.add_argument("--stability-C", type=float, default=None,
-                        help="override the stability constant (default 3M^2+1)")
-    parser.add_argument("--stability-R", type=float, default=4.0,
-                        help="stability comparison window")
-    parser.add_argument("--delta", type=float, default=1e-2,
+    parser.add_argument(
+        "--epsilons", default="1e-1,3e-2,1e-2,3e-3,1e-3",
+        type=_option_type(
+            "at least three finite positive viscosities, strictly decreasing",
+            _split(float),
+            lambda e: len(e) >= 3 and _positive(e[0]) and e[-1] > 0.0
+            and all(b < a for a, b in zip(e, e[1:]))),
+        help="comma-separated decreasing viscosities (sweep)")
+    parser.add_argument(
+        "--stability-C", default=None,
+        type=_option_type("a positive finite stability constant", float, _positive),
+        help="override the stability constant (default 3M^2+1)")
+    parser.add_argument("--stability-R", type=positive, default=4.0,
+                        help="stability comparison window, at most L")
+    parser.add_argument("--delta", default=1e-2,
+                        type=_option_type("finite", float, math.isfinite),
                         help="stability perturbation amplitude")
-    parser.add_argument("--constants", type=int, default=5,
+    parser.add_argument("--constants", default=5,
+                        type=_option_type("an integer >= 1", int, lambda n: n >= 1),
                         help="number of Kruzhkov constants (entropy-check)")
-    parser.add_argument("--bumps", default="3,3",
-                        help="test function tiling kt,kx (entropy-check)")
-    parser.add_argument("--k", type=float, default=None, help="susceptibility magnitude")
-    parser.add_argument("--c2", type=float, default=None, help="material constant")
+    parser.add_argument(
+        "--bumps", default="3,3",
+        type=_option_type("two positive integers kt,kx", _split(int),
+                          lambda k: len(k) == 2 and min(k) >= 1),
+        help="test function tiling kt,kx (entropy-check)")
+    parser.add_argument("--k", type=positive, default=None,
+                        help="susceptibility magnitude (with --c2)")
+    parser.add_argument("--c2", type=positive, default=None,
+                        help="material constant (with --k)")
     return parser
 
 

@@ -504,9 +504,7 @@ def run(
     while ws.t < config.final_time - LANDING_TOL:
         dt = _cfl_dt(ws.u, ws.t, config)
         if next_snap < len(snap_times):
-            gap = snap_times[next_snap] - ws.t
-            if gap > 1e-14:
-                dt = min(dt, gap)
+            dt = min(dt, snap_times[next_snap] - ws.t)
         step(None, config, g, dt=dt, workspace=ws)
         dts.append(dt)
         series.append((ws.t, ws.g_value, ws.boundary_gradient))

@@ -3,9 +3,11 @@
 import copy
 import json
 import math
+import shlex
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -284,7 +286,7 @@ class TestEntropyCheck:
         assert code == 2
         err = read_json(out / "error.json")
         assert err["message"] == (
-            f"--bumps must be two positive integers kt,kx, got {bumps!r}")
+            f"argument --bumps: must be two positive integers kt,kx, got {bumps!r}")
 
 
 class TestStability:
@@ -356,7 +358,7 @@ class TestStability:
         assert not (out / "stability.json").exists()
         err = read_json(out / "error.json")
         assert err == {"error": "ValueError",
-                       "message": f"--delta must be finite, got {float(delta)}"}
+                       "message": f"argument --delta: must be finite, got {delta!r}"}
         assert caught == []
         assert capsys.readouterr().err == f"error: {err['message']}\n"
 
@@ -412,6 +414,20 @@ class TestScale:
         out = tmp_path / "out"
         assert main(["scale", "--scenario", str(scenario), "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("option", ["--k", "--c2"])
+    def test_lone_constant_is_an_input_error(self, tmp_path, option):
+        # one of the two is not mixed with the scenario's other constant,
+        # nor dropped in favour of the scenario's pair
+        scenario = tiny_scenario(tmp_path, physical={"k": 1.0, "c2": 1.0})
+        out = tmp_path / "out"
+        code = main(["scale", "--scenario", str(scenario), "--out", str(out),
+                     option, "2.0"])
+        assert code == 2
+        assert not (out / "scale.json").exists()
+        err = read_json(out / "error.json")
+        assert err == {"error": "ValueError",
+                       "message": "--k and --c2 are given together or not at all"}
+
 
 class TestErrors:
     def test_malformed_scenario(self, tmp_path):
@@ -460,7 +476,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv, message", [
         (["entropy-check", "--scenario", "s.json", "--constants", "abc"],
-         "invalid int value: 'abc'"),
+         "argument --constants: must be an integer >= 1, got 'abc'"),
         (["solve"], "the following arguments are required: --scenario"),
     ], ids=["non-integer-constants", "missing-scenario"])
     def test_malformed_command_line(self, tmp_path, monkeypatch, capsys, argv, message):
@@ -602,3 +618,126 @@ class TestInputContract:
             assert code in (0, 1, 2)
             if code == 2:
                 assert (out / "error.json").exists()
+
+
+SUBCOMMANDS = ["solve", "invariants", "entropy-check", "stability", "sweep", "scale"]
+#: option values that spell no finite number
+NOT_FINITE = ["", "abc", "nan", "inf", "-inf", "1e400", "-1e400"]
+#: ... and those that spell one that is not positive
+NOT_POSITIVE = NOT_FINITE + ["0", "-0.0", "-1", "-1e-300"]
+#: each single-valued option with values its rule rejects
+BAD_SCALARS = {
+    "--delta": NOT_FINITE,
+    "--stability-C": NOT_POSITIVE,
+    "--stability-R": NOT_POSITIVE,
+    "--k": NOT_POSITIVE,
+    "--c2": NOT_POSITIVE,
+    "--constants": NOT_POSITIVE + ["2.5", "1e3", "3,3"],
+}
+VISCOSITIES = ["1", "0.3", "0.1", "0.03", "0.01"]
+
+
+@st.composite
+def bad_lists(draw, good, min_count, max_count, bad_items):
+    """A comma-separated list of items from ``good``, in order, with the
+    wrong count, one item replaced by one of ``bad_items``, or one item
+    repeated."""
+    kind = draw(st.sampled_from(["count", "item", "repeat"]))
+    if kind == "count":
+        count = draw(st.sampled_from(
+            [k for k in range(len(good) + 1) if not min_count <= k <= max_count]))
+        return ",".join(good[:count])
+    items = good[:draw(st.integers(min_count, min(max_count, len(good))))]
+    if kind == "item":
+        items[draw(st.integers(0, len(items) - 1))] = draw(st.sampled_from(bad_items))
+    else:
+        at = draw(st.integers(0, len(items) - 2))
+        items[at] = items[at + 1]
+    return ",".join(items)
+
+
+BAD_OPTION_VALUES = st.one_of(
+    *(st.tuples(st.just(option), st.sampled_from(values))
+      for option, values in BAD_SCALARS.items()),
+    # two positive integers kt,kx; a repeated one is a valid tiling
+    st.tuples(st.just("--bumps"),
+              bad_lists(["3", "2", "1"], 2, 2, NOT_POSITIVE + ["2.5"])
+              .filter(lambda text: text != "2,2")),
+    # at least three finite positive viscosities, strictly decreasing
+    st.tuples(st.just("--epsilons"), bad_lists(VISCOSITIES, 3, 5, NOT_POSITIVE)),
+)
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a bad option value got past the command line")
+
+
+class TestOptionContract:
+    """Any option value breaking its rule is a malformed command line."""
+
+    @given(subcommand=st.sampled_from(SUBCOMMANDS), option_value=BAD_OPTION_VALUES)
+    @settings(max_examples=150, deadline=None)
+    def test_bad_value_rejected_before_the_scenario_loads(self, subcommand,
+                                                          option_value):
+        option, value = option_value
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli, "load_scenario", _no_solve), \
+                mock.patch.object(cli, "run", _no_solve):
+            out = Path(tmp) / "out"
+            code = main([subcommand, "--scenario", str(builtin_scenario_path("s1")),
+                         "--out", str(out), f"{option}={value}"])
+            assert code == 2
+            assert [p.name for p in out.iterdir()] == ["error.json"]
+            err = read_json(out / "error.json")
+            assert err["error"] == "ValueError"
+            assert err["message"].startswith(f"argument {option}: must be ")
+            assert err["message"].endswith(f", got {value!r}")
+
+    @pytest.mark.parametrize("subcommand, option, value", [
+        ("stability", "--stability-R", "nan"),
+        ("stability", "--stability-R", "0"),
+        ("stability", "--stability-R", "-1"),
+        ("stability", "--stability-R", "11"),  # L + 1 on s1
+        ("sweep", "--epsilons", "inf,1,0.1"),
+        ("sweep", "--epsilons", "1e-1,1e-2"),
+        ("stability", "--delta", "nan"),
+        ("stability", "--stability-C", "0"),
+        ("entropy-check", "--constants", "0"),
+        ("entropy-check", "--bumps", "2,0"),
+        ("scale", "--k", "nan"),
+        ("scale", "--k", "1.0"),  # without --c2
+    ])
+    def test_rejected_before_any_solve(self, tmp_path, monkeypatch, subcommand,
+                                       option, value):
+        monkeypatch.setattr(cli, "run", _no_solve)
+        monkeypatch.setattr(cli, "epsilon_sweep", _no_solve)
+        out = tmp_path / "out"
+        code = main([subcommand, "--scenario", str(builtin_scenario_path("s1")),
+                     "--out", str(out), f"{option}={value}"])
+        assert code == 2
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+        assert option in read_json(out / "error.json")["message"]
+
+    def test_window_beyond_the_domain_names_it(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run", _no_solve)
+        out = tmp_path / "out"
+        code = main(["stability", "--scenario", str(builtin_scenario_path("s1")),
+                     "--out", str(out), "--stability-R", "11"])
+        assert code == 2
+        assert read_json(out / "error.json")["message"] == (
+            "argument --stability-R: the window must be at most the domain "
+            "length L = 10.0, got 11.0")
+
+    def test_defaults_and_readme_values_parse(self):
+        parser = cli.build_parser()
+        defaults = parser.parse_args(["solve", "--scenario", "s.json"])
+        assert defaults.epsilons == (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+        assert (defaults.constants, defaults.bumps) == (5, (3, 3))
+        assert (defaults.delta, defaults.stability_R) == (1e-2, 4.0)
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+        lines = [line for line in block.split("```", 1)[0].splitlines()
+                 if line.startswith("spe ")]
+        assert lines
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])

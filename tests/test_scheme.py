@@ -269,6 +269,18 @@ class TestRun:
             assert any(abs(t - want) < 1e-9 for t in times)
         assert all(b > a for a, b in zip(times, times[1:]))
 
+    def test_snapshot_near_zero_lands_exactly(self):
+        # a snapshot closer to t = 0 than the first CFL step (about 5e-3
+        # here) is reached by a step of its own, not recorded a step late
+        grid = make_uniform_grid(10.0, 200)
+        config = SolverConfig(
+            eps=1e-2, grid=grid, final_time=0.1, snapshot_times=(5e-15, 0.05)
+        )
+        u0 = preset_initial("bump-derivative", {"a": 1.0, "x0": 2.0, "sigma": 1.0}, grid)
+        traj = run(u0, BoundaryData.zero(), config)
+        assert [s.t for s in traj.snapshots][:2] == [0.0, 5e-15]
+        assert traj.step_log[0] == 5e-15
+
     def test_boundary_series_covers_every_step(self):
         grid = make_uniform_grid(10.0, 64)
         config = SolverConfig(eps=1e-2, grid=grid, final_time=0.2)
