@@ -48,7 +48,7 @@ from .entropy import entropy_residual  # noqa: F401  bench/child.py traces this 
 from .errors import BlowUpError, DataValidationError
 from .fields import Field, lp_norm
 from .scenarios import ScenarioSpec, load_scenario, preset_initial
-from .scheme import Trajectory, run
+from .scheme import Trajectory, compat_mismatch, run
 
 #: tolerance scale constants, calibrated on the shipped scenarios
 MEAN_TOL_FACTOR = 1e-8          # times ||u0||_L1
@@ -72,18 +72,8 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _json_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def write_json(path: Path, doc) -> None:
-    _write_atomic(path, json.dumps(doc, indent=2, default=_json_default) + "\n")
+    _write_atomic(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _float_text(values):
@@ -101,18 +91,13 @@ def write_csv(path: Path, header: list, columns: list) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _run_scenario(spec: ScenarioSpec, strict_compat: bool) -> Trajectory:
-    return run(
-        spec.initial,
-        spec.boundary,
-        spec.config,
-        require_zero_mean=spec.conforming,
-        strict_compat=strict_compat,
-    )
+def _run_scenario(spec: ScenarioSpec) -> Trajectory:
+    return run(spec.initial, spec.boundary, spec.config,
+               require_zero_mean=spec.conforming)
 
 
 def _cmd_solve(spec: ScenarioSpec, out: Path, args) -> int:
-    traj = _run_scenario(spec, args.strict_compat)
+    traj = _run_scenario(spec)
     # x is the same column in every snapshot and t is constant in one, so
     # each is formatted once
     x_text = list(_float_text(spec.grid.nodes))
@@ -162,7 +147,7 @@ def _invariant_records(spec: ScenarioSpec, traj: Trajectory) -> tuple:
 
 
 def _cmd_invariants(spec: ScenarioSpec, out: Path, args) -> int:
-    traj = _run_scenario(spec, args.strict_compat)
+    traj = _run_scenario(spec)
     records = _invariant_records(spec, traj)
     write_json(out / "report.json", [r.as_dict() for r in records])
     return 0 if all(r.verdict == "pass" for r in records) else 1
@@ -175,7 +160,7 @@ def _cmd_entropy(spec: ScenarioSpec, out: Path, args) -> int:
             f"--constants times the --bumps tiles kt*kx must be at most "
             f"{MAX_ENTROPY_ROWS}, got {table_rows}"
         )
-    traj = _run_scenario(spec, args.strict_compat)
+    traj = _run_scenario(spec)
     trace = extract_trace(traj)
     sup_u = max(lp_norm(s.u, math.inf) for s in traj.snapshots)
     constants = np.linspace(-sup_u, sup_u, args.constants)
@@ -212,14 +197,14 @@ def _cmd_stability(spec: ScenarioSpec, out: Path, args) -> int:
     if args.stability_R > L:  # checked before the two runs it would waste
         raise ValueError(f"argument --stability-R: the window must be at most "
                          f"the domain length L = {L!r}, got {args.stability_R!r}")
-    base = _run_scenario(spec, args.strict_compat)
+    base = _run_scenario(spec)
     bump = preset_initial(
         "bump-derivative",
         {"a": args.delta, "x0": L / 4.0, "sigma": L / 20.0},
         spec.grid,
     )
     perturbed_u0 = Field(spec.grid, spec.initial.values + bump.values)
-    pert = _run_scenario(replace(spec, initial=perturbed_u0), args.strict_compat)
+    pert = _run_scenario(replace(spec, initial=perturbed_u0))
     C = args.stability_C
     if C is None:
         C = default_stability_constant(base, pert)
@@ -367,6 +352,12 @@ def main(argv=None) -> int:
                 [f"non-conforming scenario {spec.name!r} is usable only with "
                  f"the entropy-check subcommand"]
             )
+        # the flag is applied here, once, so it means the same for every
+        # subcommand; ``run`` warns about a mismatch let through
+        if args.strict_compat:
+            mismatch = compat_mismatch(spec.initial, spec.boundary(0.0))
+            if mismatch:
+                raise DataValidationError([mismatch])
         return _COMMANDS[args.subcommand](spec, out, args)
     except (DataValidationError, BlowUpError, ValueError, OSError) as exc:
         if out is None:  # the command line itself is malformed

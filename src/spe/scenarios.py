@@ -323,13 +323,18 @@ def load_scenario(path) -> ScenarioSpec:
     """Read and validate a scenario JSON file."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise DataValidationError(
+                [f"scenario {path}: JSON nested too deeply to read"]) from None
     return parse_scenario(doc, source=str(path))
 
 
 def _load_field_csv(path: Path, grid: Grid) -> Field:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim != 2 or data.shape[1] < 2:
+    # ndmin=2: a file of one data row is a table of one row, not a 1-D array
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] < 2:
         raise DataValidationError([f"{path}: field file needs columns x,u"])
     xs, us = data[:, 0], data[:, 1]
     if len(xs) != grid.node_count or not np.allclose(xs, grid.nodes, atol=1e-9):
@@ -340,8 +345,8 @@ def _load_field_csv(path: Path, grid: Grid) -> Field:
 
 
 def _load_boundary_csv(path: Path) -> BoundaryData:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim != 2 or data.shape[1] < 2:
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] < 2:
         raise DataValidationError([f"{path}: boundary file needs columns t,g"])
     ts, gs = data[:, 0], data[:, 1]
 

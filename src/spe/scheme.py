@@ -39,24 +39,19 @@ of the rows.  Each pivot is a fixed function of the one before, d_{i+1} =
 (1 + 2r) - (-r / d_i)(-r), so once the pivots repeat, every later pivot and
 multiplier is a copy of the last one.  They repeat after 6-23 rows for
 r <= 1, 76 at r = 16 and about 1400 at r = 1e4, and the solution is
-``dptsv``'s bit for bit.  At n = 4000 (3999 rows) one solve fell from
-60-73 to 33-44 us on a 2-core Xeon, and a step of the n = 4000 viscosity
-sweep from about 160 to 110 us.
+``dptsv``'s bit for bit.
 
 The LAPACK routines are taken from scipy's compiled ``linalg/_flapack``
 extension, located without importing scipy and loaded as ``spe._flapack``:
 the same Fortran routines as ``scipy.linalg.lapack``, without the package
-init of ``scipy.linalg`` (its array-API layer and every linalg submodule).
-That init was about two thirds of the import of ``spe.cli``; skipping it
-cuts ``import spe.cli`` plus loading a scenario from about 0.5 s to 0.2 s
-and the peak resident memory from 57 to 32 MB on a 2-core Xeon.
+init of ``scipy.linalg`` (its array-API layer and every linalg submodule),
+which would dominate the start-up time and memory of ``spe.cli``.
 ``_flapack`` is a private scipy name, so when it is not found the public
 module is used instead.
 """
 
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -76,6 +71,7 @@ __all__ = [
     "State",
     "Trajectory",
     "Workspace",
+    "compat_mismatch",
     "stable_dt",
     "step",
     "run",
@@ -216,40 +212,25 @@ class Trajectory:
         return np.array([s.t for s in self.snapshots])
 
 
-@functools.lru_cache(maxsize=32)
-def _projection_weight(grid: Grid) -> np.ndarray:
-    # interior weight with unit trapezoidal integral; vanishes at both
-    # boundary nodes so Dirichlet values survive the projection untouched
-    x = grid.nodes
-    w = np.sin(np.pi * x / grid.length) ** 2
-    w /= _trapz(w, grid.dx)
-    w.setflags(write=False)
-    return w
-
-
 def _one_sided_gradient(values: np.ndarray, dx: float) -> float:
     # second-order three-point formula at x=0
     return float((-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dx))
-
-
-def _grad_sq(values: np.ndarray, dx: float, scratch: np.ndarray,
-             left_gradient: float) -> float:
-    # centered differences interiorly, one-sided three-point at both ends,
-    # the one at x = 0 (``_one_sided_gradient(values, dx)``) passed in;
-    # ``scratch`` (same length as ``values``) is overwritten
-    gr = scratch
-    np.subtract(values[2:], values[:-2], out=gr[1:-1])
-    gr[1:-1] /= 2.0 * dx
-    gr[0] = left_gradient
-    gr[-1] = -_one_sided_gradient(values[::-1], dx)  # mirror image at x = L
-    np.multiply(gr, gr, out=gr)
-    return _trapz(gr, dx)
 
 
 def zero_mean_tolerance(l1: float) -> float:
     """Largest |trapezoidal mean| that an initial datum of L1 norm ``l1`` may
     have and still count as zero-mean: 1e-10 * ||u0||_L1."""
     return 1e-10 * max(l1, 1e-300)
+
+
+def compat_mismatch(u0: Field, g0: float) -> str | None:
+    """What is wrong when the initial datum ``u0`` misses the boundary value
+    ``g0 = g(0)`` by more than ``COMPAT_TOL``; None when they fit."""
+    u0_left = float(u0.values[0])
+    if abs(u0_left - g0) > COMPAT_TOL:
+        return (f"initial/boundary compatibility mismatch: u0(0) = {u0_left:.6g} "
+                f"but g(0) = {g0:.6g}")
+    return None
 
 
 def _cfl_dt(u: np.ndarray, t: float, config: SolverConfig) -> float:
@@ -345,12 +326,31 @@ class Workspace:
         # the LAPACK wrappers take a one-element off-diagonal for a single
         # interior node
         self.offdiag = np.empty(max(n - 3, 1))
-        self.weight = _projection_weight(grid)
+        # interior weight with unit trapezoidal integral; it vanishes at both
+        # boundary nodes, so the Dirichlet values survive the projection
+        self.weight = np.sin(np.pi * grid.nodes / grid.length) ** 2
+        self.weight /= _trapz(self.weight, grid.dx)
         self.g_value = math.nan
         with np.errstate(over="ignore"):
-            self.boundary_gradient = _one_sided_gradient(self.u, grid.dx)
-            self.grad_sq = _grad_sq(self.u, grid.dx, self.scratch,
-                                    self.boundary_gradient)
+            self.measure_gradient()
+
+    def measure_gradient(self) -> None:
+        """Set ``boundary_gradient`` and ``grad_sq`` from the current ``u``
+        (``scratch`` is overwritten).
+
+        du/dx is the centered difference d_i / (2 dx), d_i = u[i+1] - u[i-1],
+        at interior nodes and the one-sided three-point formula at both ends,
+        and its squared L2 norm is the trapezoid of their squares:
+        dot(d, d) / (4 dx) + dx / 2 * (left^2 + right^2), a form without
+        dx^2, which would underflow for a tiny cell.
+        """
+        u, dx = self.u, self.grid.dx
+        d = np.subtract(u[2:], u[:-2], out=self.scratch[:-2])
+        left = _one_sided_gradient(u, dx)
+        right = _one_sided_gradient(u[::-1], dx)  # mirror image at x = L
+        self.boundary_gradient = left
+        self.grad_sq = (float(np.dot(d, d)) / (4.0 * dx)
+                        + dx / 2.0 * (left * left + right * right))
 
     def state(self) -> State:
         """The current time level as a State of read-only Fields (copied and
@@ -364,12 +364,11 @@ class Workspace:
 
 
 def step(
-    state: State | None,
+    level: State | Workspace,
     config: SolverConfig,
     g: BoundaryData,
     *,
-    dt: float | None = None,
-    workspace: Workspace | None = None,
+    dt: float,
 ) -> State | None:
     """Advance one time level.
 
@@ -379,23 +378,21 @@ def step(
     recomputed from the new u and the boundary gradient refreshed with the
     one-sided three-point formula.
 
-    Given a ``state``, returns the next State.  Given ``workspace`` instead
-    (and ``state=None``), advances the workspace in place and returns None;
-    this is the form ``run`` uses, which builds no Field or State per step.
-    Either way g(t+dt) is evaluated once.  A non-finite CFL speed, a time
-    step that does not advance t, or a non-finite result raises
-    ``BlowUpError`` with the time, before anything non-finite is stored.
+    Given a ``State``, returns the next State.  Given a ``Workspace``,
+    advances it in place and returns None; this is the form ``run`` uses,
+    which builds no Field or State per step.  Either way g(t+dt) is
+    evaluated once.  A time step ``dt`` that does not advance t, a failed
+    diffusion factorization or a non-finite result raises ``BlowUpError``
+    with the time, before anything non-finite is stored.
     ``config.include_source`` selects the sourced, projected problem.
     """
-    if (state is None) == (workspace is None):
-        raise TypeError("step needs exactly one of state and workspace")
     grid = config.grid
-    ws = workspace or Workspace(state.u.grid, state.t, state.u.values, state.P.values)
+    ws = level
+    if isinstance(level, State):
+        ws = Workspace(level.u.grid, level.t, level.u.values, level.P.values)
     if ws.t >= config.final_time:
         raise ValueError("state is already at or beyond final_time")
     dx = grid.dx
-    if dt is None:
-        dt = _cfl_dt(ws.u, ws.t, config)
     t_new = ws.t + dt
     if not t_new > ws.t:
         raise BlowUpError(ws.t, f"time step {dt:.3g} does not advance t={ws.t:.6g}")
@@ -447,9 +444,8 @@ def step(
         ws.P, ws.scratch = P_new, P
         ws.t = t_new
         ws.g_value = g_new
-        ws.boundary_gradient = _one_sided_gradient(new, dx)
-        ws.grad_sq = _grad_sq(new, dx, ws.scratch, ws.boundary_gradient)
-    return ws.state() if workspace is None else None
+        ws.measure_gradient()
+    return ws.state() if ws is not level else None
 
 
 def run(
@@ -465,8 +461,8 @@ def run(
     Admissibility: the initial datum must have zero trapezoidal mean within
     ``zero_mean_tolerance`` (set ``require_zero_mean=False`` only for
     deliberately non-conforming shock-validation data).  A mismatch
-    |u0(0) - g(0)| > ``COMPAT_TOL`` is surfaced as a warning, or an error
-    under ``strict_compat``.
+    (``compat_mismatch``) is surfaced as a warning, or an error under
+    ``strict_compat``.
 
     Steps are shortened to land exactly on each requested snapshot time, so
     snapshots carry no interpolation error.  Snapshots always include t=0 and
@@ -481,13 +477,11 @@ def run(
              f"datum: mean = {mean(u0):.3e}, allowed {allowed:.3e}"]
         )
     g0 = g(0.0)
-    u0_left = float(u0.values[0])
-    if abs(u0_left - g0) > COMPAT_TOL:
-        msg = (f"initial/boundary compatibility mismatch: u0(0) = {u0_left:.6g} "
-               f"but g(0) = {g0:.6g}")
-        if strict_compat:
-            raise DataValidationError([msg])
-        warnings.warn(msg, stacklevel=2)
+    mismatch = compat_mismatch(u0, g0)
+    if mismatch and strict_compat:
+        raise DataValidationError([mismatch])
+    if mismatch:
+        warnings.warn(mismatch, stacklevel=2)
 
     snap_times = sorted(set((0.0, float(config.final_time), *config.snapshot_times)))
     config = replace(config, snapshot_times=tuple(snap_times))
@@ -502,10 +496,9 @@ def run(
     next_snap = 1  # snap_times[0] == 0.0 already recorded
 
     while ws.t < config.final_time - LANDING_TOL:
-        dt = _cfl_dt(ws.u, ws.t, config)
-        if next_snap < len(snap_times):
-            dt = min(dt, snap_times[next_snap] - ws.t)
-        step(None, config, g, dt=dt, workspace=ws)
+        # final_time is a snapshot time, so one lies ahead until the loop ends
+        dt = min(_cfl_dt(ws.u, ws.t, config), snap_times[next_snap] - ws.t)
+        step(ws, config, g, dt=dt)
         dts.append(dt)
         series.append((ws.t, ws.g_value, ws.boundary_gradient))
         grad_sq.append(ws.grad_sq)

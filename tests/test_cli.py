@@ -388,6 +388,42 @@ class TestSweep:
         assert "at least three" in read_json(out / "error.json")["message"]
 
 
+class TestStrictCompat:
+    """``--strict-compat`` turns the mismatch u0(0) != g(0) into bad input
+    for every subcommand, before anything is solved."""
+
+    def mismatched(self, tmp_path):
+        # the bump-derivative datum has u0(0) = 0
+        return tiny_scenario(tmp_path, boundary={"preset": "constant",
+                                                 "params": {"a": 0.5}})
+
+    @pytest.mark.parametrize("subcommand", ["solve", "sweep", "scale"])
+    def test_mismatch_is_an_input_error(self, tmp_path, monkeypatch, subcommand):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved under a compatibility mismatch")
+
+        monkeypatch.setattr(cli, "run", unreachable)
+        monkeypatch.setattr(cli, "epsilon_sweep", unreachable)
+        out = tmp_path / "out"
+        code = main([subcommand, "--scenario", str(self.mismatched(tmp_path)),
+                     "--out", str(out), "--k", "1.0", "--c2", "1.0",
+                     "--strict-compat"])
+        assert code == 2
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+        err = read_json(out / "error.json")
+        assert err["error"] == "DataValidationError"
+        assert err["violations"] == [
+            "initial/boundary compatibility mismatch: u0(0) = 0 but g(0) = 0.5"]
+
+    def test_sweep_warns_without_the_flag(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="compatibility mismatch"):
+            code = main(["sweep", "--scenario", str(self.mismatched(tmp_path)),
+                         "--out", str(out), "--epsilons", "3e-2,1e-2,3e-3"])
+        assert code == 0
+        assert (out / "sweep.json").exists()
+
+
 class TestScale:
     def test_direct_constants(self, tmp_path):
         scenario = tiny_scenario(tmp_path)
@@ -490,6 +526,16 @@ class TestErrors:
         assert message in capsys.readouterr().err
         assert main(argv) == 2
         assert message in read_json(tmp_path / "spe-out" / "error.json")["message"]
+
+    def test_deeply_nested_scenario_is_an_input_error(self, tmp_path):
+        # deeper than the JSON reader's recursion allows: no traceback
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        out = tmp_path / "out"
+        assert main(["solve", "--scenario", str(deep), "--out", str(out)]) == 2
+        err = read_json(out / "error.json")
+        assert err["error"] == "DataValidationError"
+        assert err["violations"] == [f"scenario {deep}: JSON nested too deeply to read"]
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -176,6 +176,17 @@ class TestLoadScenario:
         with pytest.raises(DataValidationError, match="essentially bounded"):
             parse_scenario(doc)
 
+    def test_one_row_boundary_file_is_constant(self, s1_spec, tmp_path):
+        boundary_file = tmp_path / "g.csv"
+        boundary_file.write_text("t,g\n0.0,0.25\n")
+        doc = {**s1_spec.raw, "boundary": {"file": str(boundary_file)}}
+        g = parse_scenario(doc).boundary
+        assert (g(0.0), g(1.0), g.sup_bound) == (0.25, 0.25, 0.25)
+        boundary_file.write_text("t,g\n")  # a header alone is no datum
+        with pytest.warns(UserWarning, match="no data"):
+            with pytest.raises(DataValidationError, match="needs columns t,g"):
+                parse_scenario(doc)
+
     def test_unbounded_boundary_rejected(self):
         doc = {
             "name": "bad-g",
