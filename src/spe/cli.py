@@ -335,10 +335,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _named_out(argv) -> Path:
-    """The --out directory a command line names, or spe-out/."""
-    parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--out", nargs="?")
-    return Path(parser.parse_known_args(argv)[0].out or "spe-out")
+    """Where a malformed command line's error goes: its --out directory,
+    else spe-out/<subcommand> as for every later error, else spe-out/.
+    The options are declared without their rules, so that no option's value
+    is taken for the subcommand; if a prefix of option names is ambiguous,
+    no name may be abbreviated."""
+
+    def parse(allow_abbrev: bool):
+        parser = _ArgumentParser(add_help=False, allow_abbrev=allow_abbrev)
+        for action in build_parser()._actions:
+            if action.option_strings and action.nargs != 0:
+                parser.add_argument(*action.option_strings, nargs="?")
+        return parser.parse_known_args(argv)
+
+    try:
+        named, rest = parse(allow_abbrev=True)
+    except ValueError:  # an ambiguous prefix
+        named, rest = parse(allow_abbrev=False)
+    if named.out:
+        return Path(named.out)
+    words = [word for word in rest if not word.startswith("-")]
+    if words and words[0] in _COMMANDS:
+        return Path("spe-out") / words[0]
+    return Path("spe-out")
 
 
 def main(argv=None) -> int:

@@ -510,14 +510,21 @@ class TestErrors:
         assert err["error"] == "ValueError"
         assert "does not fit eps = 0.01" in err["message"]
 
-    @pytest.mark.parametrize("argv, message", [
+    @pytest.mark.parametrize("argv, message, default_out", [
         (["entropy-check", "--scenario", "s.json", "--constants", "abc"],
-         "argument --constants: must be an integer >= 1, got 'abc'"),
-        (["solve"], "the following arguments are required: --scenario"),
-    ], ids=["non-integer-constants", "missing-scenario"])
-    def test_malformed_command_line(self, tmp_path, monkeypatch, capsys, argv, message):
+         "argument --constants: must be an integer >= 1, got 'abc'",
+         "spe-out/entropy-check"),
+        (["solve"], "the following arguments are required: --scenario",
+         "spe-out/solve"),
+        # the option's value is not the subcommand
+        (["--scenario", "solve"], "the following arguments are required: subcommand",
+         "spe-out"),
+    ], ids=["non-integer-constants", "missing-scenario", "missing-subcommand"])
+    def test_malformed_command_line(self, tmp_path, monkeypatch, capsys, argv, message,
+                                    default_out):
         # argparse errors follow the contract too: exit 2 and error.json in
-        # the named --out directory, or in spe-out/ without one
+        # the named --out directory, or without one in spe-out/<subcommand>
+        # when a subcommand is named and in spe-out/ when none is
         monkeypatch.chdir(tmp_path)
         assert main(argv + ["--out", "out"]) == 2
         err = read_json(tmp_path / "out" / "error.json")
@@ -525,7 +532,37 @@ class TestErrors:
         assert message in err["message"]
         assert message in capsys.readouterr().err
         assert main(argv) == 2
-        assert message in read_json(tmp_path / "spe-out" / "error.json")["message"]
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.json")) == [
+            "out/error.json", f"{default_out}/error.json"]
+        assert message in read_json(tmp_path / default_out / "error.json")["message"]
+
+    @pytest.mark.parametrize("argv, directory", [
+        (["--constants", "0", "sweep", "--scenario", "s.json"], "spe-out/sweep"),
+        (["solve", "--s", "s.json"], "spe-out/solve"),  # an ambiguous prefix
+        (["--ou", "o", "solve", "--delta", "nan"], "o"),
+        (["--sc", "solve", "--constants", "0"], "spe-out"),
+        (["bogus", "solve", "--scenario", "s.json"], "spe-out"),
+    ])
+    def test_error_directory_of_malformed_command_line(self, tmp_path, monkeypatch,
+                                                        argv, directory):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert [str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.json")] == [
+            f"{directory}/error.json"]
+
+    def test_errors_of_one_subcommand_share_a_directory(self, tmp_path, monkeypatch):
+        # without --out, a bad option value (found while parsing) and a
+        # window beyond the domain (found by the subcommand) both write
+        # spe-out/stability/error.json
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run", _no_solve)
+        scenario = str(builtin_scenario_path("s1"))
+        for option, value in (("--delta", "nan"), ("--stability-R", "11")):
+            assert main(["stability", "--scenario", scenario, option, value]) == 2
+            assert [str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.json")] == [
+                "spe-out/stability/error.json"]
+            message = read_json(tmp_path / "spe-out/stability/error.json")["message"]
+            assert message.startswith(f"argument {option}: ")
 
     def test_deeply_nested_scenario_is_an_input_error(self, tmp_path):
         # deeper than the JSON reader's recursion allows: no traceback

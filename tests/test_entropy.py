@@ -3,6 +3,7 @@ inequality evaluator."""
 
 import functools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from spe.entropy import (
     BumpProfile,
     EntropyPair,
     TraceRecord,
+    _support_box,
     entropy_residual,
     entropy_residuals,
     entropy_tolerance,
@@ -416,3 +418,71 @@ class TestSupportBoxQuadrature:
                 ref = full_grid_residual(traj, c, phi, trace)
                 r = entropy_residual(traj, EntropyPair(c=c), phi, trace)
                 assert abs(r - ref) <= 1e-13 * (1.0 + abs(ref))
+
+
+#: the values of a lattice trajectory's u and g: many entries tie with each
+#: other and with constants drawn from the same values
+LATTICE = np.arange(-4, 5) / 4.0
+
+
+def lattice_trajectory(seed, n, count, include_source):
+    """u and g drawn from LATTICE at ``count`` snapshot times on [0, 1]."""
+    rng = np.random.default_rng(seed)
+    grid = make_uniform_grid(3.0, n)
+    times = np.linspace(0.0, 1.0, count)
+    profiles = list(rng.choice(LATTICE, size=(count, n + 1)))
+    g_at = dict(zip(times.tolist(), rng.choice(LATTICE, size=count).tolist()))
+    g = BoundaryData(g=lambda t: g_at[t], sup_bound=1.0)
+    traj = synthetic_trajectory(
+        grid, times, profiles, g, eps=0.01, include_source=include_source
+    )
+    return traj, extract_trace(traj)
+
+
+class TestSortedSums:
+    """Every constant's residual comes from one sort of the box, of g and
+    of u0; each equals the per-constant quadrature, ties included."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(8, 40),
+        count=st.integers(3, 9),
+        include_source=st.booleans(),
+        constants=st.lists(
+            st.one_of(st.sampled_from(LATTICE.tolist()), st.floats(-1.2, 1.2)),
+            min_size=1, max_size=10,
+        ),
+        counts=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_constant_loop(
+        self, seed, n, count, include_source, constants, counts
+    ):
+        traj, trace = lattice_trajectory(seed, n, count, include_source)
+        # below and above every value of u, g and u0
+        constants = [-1.5, *constants, 1.5]
+        for phi in make_bump_family((0.0, 1.0), (0.0, 3.0), counts):
+            rs = entropy_residuals(traj, constants, phi, trace)
+            assert rs.shape == (len(constants),)
+            for c, r in zip(constants, rs):
+                ref = full_grid_residual(traj, c, phi, trace)
+                assert abs(r - ref) <= 1e-13 * (1.0 + abs(ref))
+
+    def test_many_constants_in_memory_linear_in_box_and_constants(self):
+        traj, trace = box_trajectory()
+        # the corner tile: interior, boundary and initial terms all count
+        phi = make_bump_family((0.0, 1.0), (0.0, 6.0), (2, 2))[0]
+        constants = np.linspace(-1.5, 1.5, 20000)
+        tracemalloc.start()
+        try:
+            rs = entropy_residuals(traj, constants, phi, trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for k in range(0, len(constants), 401):
+            ref = full_grid_residual(traj, constants[k], phi, trace)
+            assert abs(rs[k] - ref) <= 1e-13 * (1.0 + abs(ref))
+        rows, cols = _support_box(phi, traj.times, traj.config.grid.nodes)
+        box = traj.times[rows].size * traj.config.grid.nodes[cols].size
+        assert peak < 8 * len(constants) * box  # one float per constant and point
+        assert peak < 64 * 8 * (len(constants) + box)

@@ -303,6 +303,18 @@ class TestRun:
         assert [s.t for s in traj.snapshots][:2] == [0.0, 5e-15]
         assert traj.step_log[0] == 5e-15
 
+    def test_landing_short_by_rounding_takes_no_sliver_step(self):
+        # on zero data every step runs to the next snapshot time; a + (b - a)
+        # rounds to an ulp below b, which counts as landed on b, so no step
+        # of about 1e-16 follows it
+        grid = make_uniform_grid(10.0, 16)
+        a, b = 0.35800764067250507, 0.9391491627785106
+        assert a + (b - a) < b
+        config = SolverConfig(eps=1e-2, grid=grid, final_time=1.0, snapshot_times=(a, b))
+        traj = run(Field(grid, np.zeros(grid.node_count)), BoundaryData.zero(), config)
+        assert len(traj.step_log) == 3
+        assert len(traj.snapshots) == 4
+
     def test_boundary_series_covers_every_step(self):
         grid = make_uniform_grid(10.0, 64)
         config = SolverConfig(eps=1e-2, grid=grid, final_time=0.2)

@@ -1,5 +1,5 @@
-"""Mutation check: each load-bearing detail of the kernel has a test that fails
-without it.
+"""Mutation check: each load-bearing detail of the kernel and of the entropy
+quadrature has a test that fails without it.
 
 Each entry of ``MUTANTS`` names a file, a text in it, the text that replaces
 it and the pytest selection that must fail once it is replaced.  For each
@@ -27,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 SCHEME = "src/spe/scheme.py"
+ENTROPY = "src/spe/entropy.py"
 #: (name, file, old text, new text, pytest selection)
 MUTANTS = [
     ("factor-no-mod4-rounding", SCHEME,
@@ -51,8 +52,20 @@ MUTANTS = [
     ("dissipation-right-end-dropped", SCHEME,
      "(left * left + right * right)", "(left * left)",
      ["tests/test_scheme.py::TestGradientMeasurements"]),
-    ("support-box-not-widened", "src/spe/entropy.py",
+    ("landing-without-tolerance", SCHEME,
+     "LANDING_TOL = 1e-12", "LANDING_TOL = 0.0",
+     ["tests/test_scheme.py::TestRun"]),
+    ("support-box-not-widened", ENTROPY,
      "return slice(max(start - 1, 0), stop + 1)", "return slice(start, stop)",
+     ["tests/test_entropy.py::TestSupportBoxQuadrature"]),
+    ("signed-sums-count-ties-above", ENTROPY,
+     'constants, side="right")', 'constants, side="left")',
+     ["tests/test_entropy.py::TestSortedSums"]),
+    ("signed-sums-lower-term-dropped", ENTROPY,
+     "    return above - below\n", "    return above\n",
+     ["tests/test_entropy.py::TestSortedSums"]),
+    ("tolerance-drops-a-product", ENTROPY,
+     "max(pt * px, dpt * px, pt * dpx)", "max(pt * px, dpt * px)",
      ["tests/test_entropy.py::TestSupportBoxQuadrature"]),
     ("worst-uses-argmin", "src/spe/diagnostics.py",
      "np.argmax(np.subtract(lhs, rhs))", "np.argmin(np.subtract(lhs, rhs))",
