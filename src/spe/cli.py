@@ -7,7 +7,10 @@ invariants      run the five estimate checks and write a report
 entropy-check   evaluate the entropy inequality over a (c, bump) grid
 stability       paired-run L1 stability comparison
 sweep           vanishing-viscosity Cauchy study
-scale           physical-to-adimensional scaling constants
+scale           the scaling constants of the scenario's physical block
+
+The scenario holds the problem's data, and the options only how it is run;
+``main`` applies ``--strict-compat`` once, for every subcommand.
 
 All artifacts are written atomically (temp file + rename) with shortest
 round-trip float formatting, so identical inputs give byte-identical output.
@@ -220,17 +223,9 @@ def _cmd_sweep(spec: ScenarioSpec, out: Path, args) -> int:
 
 
 def _cmd_scale(spec: ScenarioSpec, out: Path, args) -> int:
-    if (args.k is None) != (args.c2 is None):
-        raise ValueError("--k and --c2 are given together or not at all")
-    if args.k is not None:
-        k, c2 = args.k, args.c2
-    elif spec.physical is not None:
-        k, c2 = spec.physical
-    else:
-        raise DataValidationError(
-            ["scale needs --k/--c2 or a 'physical' block in the scenario"]
-        )
-    sc = scaling_constants(k, c2)
+    if spec.physical is None:
+        raise DataValidationError(["scale needs a 'physical' block in the scenario"])
+    sc = scaling_constants(*spec.physical)
     write_json(
         out / "scale.json",
         {
@@ -296,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spe",
         description="Short pulse equation solver and estimate verifier",
     )
-    positive = _option_type("positive and finite", float, _positive)
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("--scenario", required=True, help="scenario JSON path")
     parser.add_argument("--out", default=None, help="output directory")
@@ -314,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--stability-C", default=None,
         type=_option_type("a positive finite stability constant", float, _positive),
         help="override the stability constant (default 3M^2+1)")
-    parser.add_argument("--stability-R", type=positive, default=4.0,
+    parser.add_argument("--stability-R", default=4.0,
+                        type=_option_type("positive and finite", float, _positive),
                         help="stability comparison window, at most L")
     parser.add_argument("--delta", default=1e-2,
                         type=_option_type("finite", float, math.isfinite),
@@ -327,10 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_option_type("two positive integers kt,kx", _split(int),
                           lambda k: len(k) == 2 and min(k) >= 1),
         help="test function tiling kt,kx (entropy-check)")
-    parser.add_argument("--k", type=positive, default=None,
-                        help="susceptibility magnitude (with --c2)")
-    parser.add_argument("--c2", type=positive, default=None,
-                        help="material constant (with --k)")
     return parser
 
 
@@ -338,20 +329,23 @@ def _named_out(argv) -> Path:
     """Where a malformed command line's error goes: its --out directory,
     else spe-out/<subcommand> as for every later error, else spe-out/.
     The options are declared without their rules, so that no option's value
-    is taken for the subcommand; if a prefix of option names is ambiguous,
-    no name may be abbreviated."""
+    is taken for the subcommand.  Each prefix that names one option alone is
+    spelled out first, so an ambiguous prefix leaves the others readable."""
+    parser = _ArgumentParser(add_help=False, allow_abbrev=False)
+    names = []
+    for action in build_parser()._actions:
+        names += action.option_strings
+        if action.option_strings and action.nargs != 0:
+            parser.add_argument(*action.option_strings, nargs="?")
 
-    def parse(allow_abbrev: bool):
-        parser = _ArgumentParser(add_help=False, allow_abbrev=allow_abbrev)
-        for action in build_parser()._actions:
-            if action.option_strings and action.nargs != 0:
-                parser.add_argument(*action.option_strings, nargs="?")
-        return parser.parse_known_args(argv)
+    def spelled_out(word: str) -> str:
+        prefix, equals, value = word.partition("=")
+        matches = [name for name in names if name.startswith(prefix)]
+        unique = word.startswith("--") and len(matches) == 1
+        return matches[0] + equals + value if unique else word
 
-    try:
-        named, rest = parse(allow_abbrev=True)
-    except ValueError:  # an ambiguous prefix
-        named, rest = parse(allow_abbrev=False)
+    argv = sys.argv[1:] if argv is None else argv
+    named, rest = parser.parse_known_args([spelled_out(word) for word in argv])
     if named.out:
         return Path(named.out)
     words = [word for word in rest if not word.startswith("-")]
@@ -371,8 +365,8 @@ def main(argv=None) -> int:
                 [f"non-conforming scenario {spec.name!r} is usable only with "
                  f"the entropy-check subcommand"]
             )
-        # the flag is applied here, once, so it means the same for every
-        # subcommand; ``run`` warns about a mismatch let through
+        # the one place the flag is applied, so it means the same for every
+        # subcommand; ``run`` only warns about a mismatch let through
         if args.strict_compat:
             mismatch = compat_mismatch(spec.initial, spec.boundary(0.0))
             if mismatch:

@@ -188,6 +188,7 @@ def _is_number(value) -> bool:
 _KINDS = {
     "any": (lambda v: True, "any value"),
     "number": (_is_number, "a number"),
+    "positive": (lambda v: _is_number(v) and 0.0 < v < math.inf, "positive and finite"),
     "cells": (lambda v: _is_number(v) and float(v).is_integer() and 2 <= v <= MAX_CELLS,
               f"an integer from 2 to {MAX_CELLS}"),
     "numbers": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
@@ -214,7 +215,7 @@ _SCHEMA = {
              "snapshots": (False, "numbers")},
     "initial": _DATUM,
     "boundary": _DATUM,
-    "physical": {"k": (True, "number"), "c2": (True, "number")},
+    "physical": {"k": (True, "positive"), "c2": (True, "positive")},
 }
 
 
@@ -349,6 +350,10 @@ def _load_boundary_csv(path: Path) -> BoundaryData:
     if data.shape[1] < 2:
         raise DataValidationError([f"{path}: boundary file needs columns t,g"])
     ts, gs = data[:, 0], data[:, 1]
+    # np.interp reads the samples in order; a single one is a constant datum
+    if not (np.isfinite(ts).all() and (np.diff(ts) > 0.0).all()):
+        raise DataValidationError(
+            [f"{path}: sample times t must be finite and strictly increasing"])
 
     def g(t: float, _ts=ts, _gs=gs) -> float:
         return float(np.interp(t, _ts, _gs))

@@ -170,7 +170,9 @@ class SolverConfig:
         snaps = tuple(float(s) for s in self.snapshot_times)
         if not all(0.0 <= s <= self.final_time + LANDING_TOL for s in snaps):
             raise ValueError("snapshot times must lie in [0, final_time]")
-        object.__setattr__(self, "snapshot_times", snaps)
+        # one within LANDING_TOL beyond final_time is final_time
+        object.__setattr__(self, "snapshot_times",
+                           tuple(min(s, self.final_time) for s in snaps))
 
 
 @dataclass(frozen=True)
@@ -454,19 +456,19 @@ def run(
     config: SolverConfig,
     *,
     require_zero_mean: bool = True,
-    strict_compat: bool = False,
 ) -> Trajectory:
     """Integrate from u0 to final_time, recording snapshots and boundary data.
 
     Admissibility: the initial datum must have zero trapezoidal mean within
     ``zero_mean_tolerance`` (set ``require_zero_mean=False`` only for
     deliberately non-conforming shock-validation data).  A mismatch
-    (``compat_mismatch``) is surfaced as a warning, or an error under
-    ``strict_compat``.
+    (``compat_mismatch``) is surfaced as a warning; the command line's
+    ``--strict-compat`` rejects it before ``run`` is called.
 
     Steps are shortened to land exactly on each requested snapshot time, so
     snapshots carry no interpolation error.  Snapshots always include t=0 and
-    final_time.
+    final_time, and each later one is reached by a step of its own, so no
+    two share a time, even when closer than ``LANDING_TOL``.
     """
     if u0.grid != config.grid:
         raise DataValidationError(["initial datum lives on a different grid"])
@@ -478,8 +480,6 @@ def run(
         )
     g0 = g(0.0)
     mismatch = compat_mismatch(u0, g0)
-    if mismatch and strict_compat:
-        raise DataValidationError([mismatch])
     if mismatch:
         warnings.warn(mismatch, stacklevel=2)
 
@@ -493,18 +493,17 @@ def run(
     series = [(0.0, g0, ws.boundary_gradient)]
     grad_sq = [ws.grad_sq]
     dts = []
-    next_snap = 1  # snap_times[0] == 0.0 already recorded
 
-    while ws.t < config.final_time - LANDING_TOL:
-        # final_time is a snapshot time, so one lies ahead until the loop ends
-        dt = min(_cfl_dt(ws.u, ws.t, config), snap_times[next_snap] - ws.t)
-        step(ws, config, g, dt=dt)
-        dts.append(dt)
-        series.append((ws.t, ws.g_value, ws.boundary_gradient))
-        grad_sq.append(ws.grad_sq)
-        while next_snap < len(snap_times) and ws.t >= snap_times[next_snap] - LANDING_TOL:
-            snapshots.append(ws.state())
-            next_snap += 1
+    for target in snap_times[1:]:  # snap_times[0] == 0.0 already recorded
+        landed = False
+        while not landed:
+            dt = min(_cfl_dt(ws.u, ws.t, config), target - ws.t)
+            step(ws, config, g, dt=dt)
+            dts.append(dt)
+            series.append((ws.t, ws.g_value, ws.boundary_gradient))
+            grad_sq.append(ws.grad_sq)
+            landed = ws.t >= target - LANDING_TOL
+        snapshots.append(ws.state())
 
     return Trajectory(
         config=config,

@@ -406,8 +406,7 @@ class TestStrictCompat:
         monkeypatch.setattr(cli, "epsilon_sweep", unreachable)
         out = tmp_path / "out"
         code = main([subcommand, "--scenario", str(self.mismatched(tmp_path)),
-                     "--out", str(out), "--k", "1.0", "--c2", "1.0",
-                     "--strict-compat"])
+                     "--out", str(out), "--strict-compat"])
         assert code == 2
         assert [p.name for p in out.iterdir()] == ["error.json"]
         err = read_json(out / "error.json")
@@ -425,13 +424,10 @@ class TestStrictCompat:
 
 
 class TestScale:
-    def test_direct_constants(self, tmp_path):
-        scenario = tiny_scenario(tmp_path)
+    def test_shipped_scenario_constants(self, tmp_path):
         out = tmp_path / "out"
-        code = main([
-            "scale", "--scenario", str(scenario), "--out", str(out),
-            "--k", "1.0", "--c2", "1.0",
-        ])
+        code = main(["scale", "--scenario", str(builtin_scenario_path("s1")),
+                     "--out", str(out)])
         assert code == 0
         doc = read_json(out / "scale.json")
         assert doc["D1"] == -0.5
@@ -449,20 +445,29 @@ class TestScale:
         scenario = tiny_scenario(tmp_path)
         out = tmp_path / "out"
         assert main(["scale", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert read_json(out / "error.json")["violations"] == [
+            "scale needs a 'physical' block in the scenario"]
 
-    @pytest.mark.parametrize("option", ["--k", "--c2"])
-    def test_lone_constant_is_an_input_error(self, tmp_path, option):
-        # one of the two is not mixed with the scenario's other constant,
-        # nor dropped in favour of the scenario's pair
-        scenario = tiny_scenario(tmp_path, physical={"k": 1.0, "c2": 1.0})
-        out = tmp_path / "out"
-        code = main(["scale", "--scenario", str(scenario), "--out", str(out),
-                     option, "2.0"])
-        assert code == 2
-        assert not (out / "scale.json").exists()
-        err = read_json(out / "error.json")
-        assert err == {"error": "ValueError",
-                       "message": "--k and --c2 are given together or not at all"}
+    @pytest.mark.parametrize("key", ["k", "c2"])
+    @pytest.mark.parametrize("value", ["0", "-0.0", "-1", "-1e-300",
+                                       "NaN", "Infinity", "-Infinity", "1e400"])
+    def test_bad_constant_rejected_at_load(self, tmp_path, monkeypatch, key, value):
+        # the values of NOT_POSITIVE that a JSON number can spell; every
+        # subcommand loads the scenario, so each rejects them before solving
+        monkeypatch.setattr(cli, "run", _no_solve)
+        monkeypatch.setattr(cli, "epsilon_sweep", _no_solve)
+        physical = {"k": 1.0, "c2": 1.0, key: "BAD"}
+        scenario = tiny_scenario(tmp_path, physical=physical)
+        scenario.write_text(scenario.read_text().replace('"BAD"', value))
+        for subcommand in SUBCOMMANDS:
+            out = tmp_path / subcommand
+            code = main([subcommand, "--scenario", str(scenario), "--out", str(out)])
+            assert code == 2
+            assert [p.name for p in out.iterdir()] == ["error.json"]
+            err = read_json(out / "error.json")
+            assert err["error"] == "DataValidationError"
+            assert err["violations"] == [f"scenario {scenario}: 'physical.{key}' must "
+                                         f"be positive and finite, got {json.loads(value)!r}"]
 
 
 class TestErrors:
@@ -542,6 +547,7 @@ class TestErrors:
         (["--ou", "o", "solve", "--delta", "nan"], "o"),
         (["--sc", "solve", "--constants", "0"], "spe-out"),
         (["bogus", "solve", "--scenario", "s.json"], "spe-out"),
+        (["solve", "--st", "--ou", "o"], "o"),  # --st is ambiguous, --ou is not
     ])
     def test_error_directory_of_malformed_command_line(self, tmp_path, monkeypatch,
                                                         argv, directory):
@@ -713,8 +719,6 @@ BAD_SCALARS = {
     "--delta": NOT_FINITE,
     "--stability-C": NOT_POSITIVE,
     "--stability-R": NOT_POSITIVE,
-    "--k": NOT_POSITIVE,
-    "--c2": NOT_POSITIVE,
     "--constants": NOT_POSITIVE + ["2.5", "1e3", "3,3"],
 }
 VISCOSITIES = ["1", "0.3", "0.1", "0.03", "0.01"]
@@ -787,8 +791,8 @@ class TestOptionContract:
         ("stability", "--stability-C", "0"),
         ("entropy-check", "--constants", "0"),
         ("entropy-check", "--bumps", "2,0"),
-        ("scale", "--k", "nan"),
-        ("scale", "--k", "1.0"),  # without --c2
+        # the constants are the scenario's; an option for one is unknown
+        ("scale", "--k", "1.0"),
     ])
     def test_rejected_before_any_solve(self, tmp_path, monkeypatch, subcommand,
                                        option, value):

@@ -187,6 +187,21 @@ class TestLoadScenario:
             with pytest.raises(DataValidationError, match="needs columns t,g"):
                 parse_scenario(doc)
 
+    @pytest.mark.parametrize("rows", [
+        "1.0,0.0\n0.5,0.4\n0.0,0.0\n",
+        "0.0,0.0\n0.05,0.3\n0.05,0.1\n0.2,0.0\n",
+        "0.0,0.0\nnan,0.4\n0.2,0.0\n",
+    ], ids=["decreasing", "repeated", "nan"])
+    def test_boundary_file_times_must_increase(self, s1_spec, tmp_path, rows):
+        # np.interp reads unordered or repeated times without complaint
+        boundary_file = tmp_path / "g.csv"
+        boundary_file.write_text("t,g\n" + rows)
+        doc = {**s1_spec.raw, "boundary": {"file": str(boundary_file)}}
+        with pytest.raises(DataValidationError) as excinfo:
+            parse_scenario(doc)
+        assert excinfo.value.violations == [
+            f"{boundary_file}: sample times t must be finite and strictly increasing"]
+
     def test_unbounded_boundary_rejected(self):
         doc = {
             "name": "bad-g",

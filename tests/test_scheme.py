@@ -24,6 +24,7 @@ from spe.fields import Field, lp_norm, make_uniform_grid, mean
 from spe.nonlocal_source import cumulative_primitive
 from spe.scenarios import preset_boundary, preset_initial
 from spe.scheme import (
+    LANDING_TOL,
     BoundaryData,
     SolverConfig,
     State,
@@ -315,6 +316,24 @@ class TestRun:
         assert len(traj.step_log) == 3
         assert len(traj.snapshots) == 4
 
+    @pytest.mark.parametrize("final_time, snapshots, want", [
+        (0.2, (0.1, 0.1 + 5e-13), [0.0, 0.1, 0.1 + 5e-13, 0.2]),
+        (0.2, (0.2 + 5e-13,), [0.0, 0.2]),
+        (5e-13, (), [0.0, 5e-13]),
+    ], ids=["two-snapshots-apart-by-less", "snapshot-past-final-time-by-less",
+            "final-time-less"])
+    def test_times_closer_than_landing_tolerance(self, final_time, snapshots, want):
+        # each time is reached by a step of its own and recorded once; a
+        # snapshot that SolverConfig admits beyond final_time is final_time
+        grid = make_uniform_grid(10.0, 64)
+        config = SolverConfig(eps=1e-2, grid=grid, final_time=final_time,
+                              snapshot_times=snapshots)
+        assert max(config.snapshot_times, default=0.0) <= final_time
+        u0 = preset_initial("bump-derivative", {"a": 0.5, "x0": 2.0, "sigma": 1.0}, grid)
+        times = run(u0, BoundaryData.zero(), config).times
+        assert times == pytest.approx(want, rel=0.0, abs=LANDING_TOL)
+        assert all(b > a for a, b in zip(times, times[1:]))
+
     def test_boundary_series_covers_every_step(self):
         grid = make_uniform_grid(10.0, 64)
         config = SolverConfig(eps=1e-2, grid=grid, final_time=0.2)
@@ -330,15 +349,14 @@ class TestRun:
         with pytest.raises(DataValidationError):
             run(Field(grid, np.ones(65)), BoundaryData.zero(), config)
 
-    def test_compatibility_mismatch_warns_or_raises(self):
+    def test_compatibility_mismatch_warns(self):
+        # the command line's --strict-compat makes it an error, before run
         grid = make_uniform_grid(10.0, 64)
         config = SolverConfig(eps=1e-2, grid=grid, final_time=0.05)
         u0 = preset_initial("bump-derivative", {"a": 0.2, "x0": 2.0, "sigma": 1.0}, grid)
         g = preset_boundary("constant", {"a": 0.3})
         with pytest.warns(UserWarning, match="compatibility"):
             run(u0, g, config)
-        with pytest.raises(DataValidationError):
-            run(u0, g, config, strict_compat=True)
 
     def test_zero_mean_propagates(self):
         grid = make_uniform_grid(10.0, 500)
