@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fields import Field, _running_trapezoid, lp_norm, mean, windowed_l1
-from .scheme import LANDING_TOL, BoundaryData, SolverConfig, Trajectory, run
+from .scheme import BoundaryData, SolverConfig, Trajectory, run
 
 __all__ = [
     "CheckRecord",
@@ -42,6 +42,21 @@ class CheckRecord:
     bound: float
     tolerance: float
     detail: dict = field(default_factory=dict)
+
+    @classmethod
+    def at_worst(cls, name: str, tag: str, measured, bound, tolerance: float,
+                 times=None, **detail) -> "CheckRecord":
+        """The record of the first point where ``measured - bound`` is
+        largest: where a bound comes closest to failing, or fails by the
+        most.  ``measured`` and ``bound`` are scalars or sequences of one
+        length; given ``times``, the detail gains that point's
+        ``worst_time``."""
+        measured, bound = np.broadcast_arrays(measured, bound)
+        worst = int(np.argmax(np.subtract(measured, bound)))
+        if times is not None:
+            detail["worst_time"] = float(times[worst])
+        return cls(name, tag, float(measured.flat[worst]), float(bound.flat[worst]),
+                   tolerance, detail)
 
     @property
     def residual(self) -> float:
@@ -124,16 +139,9 @@ def _cumulative_g_power(traj: Trajectory, power: int) -> np.ndarray:
 
 
 def _at_snapshot_times(traj: Trajectory, series: np.ndarray) -> np.ndarray:
-    times = traj.boundary_series[:, 0]
-    idx = np.searchsorted(times, traj.times - LANDING_TOL)
-    idx = np.clip(idx, 0, len(times) - 1)
-    return series[idx]
-
-
-def _worst(lhs, rhs) -> int:
-    """Index of the first largest lhs - rhs: where a bound comes closest to
-    failing, or fails by the most."""
-    return int(np.argmax(np.subtract(lhs, rhs)))
+    """The per-step ``series`` at the snapshots: each snapshot time is one
+    of the step times, stored exactly."""
+    return series[np.searchsorted(traj.boundary_series[:, 0], traj.times)]
 
 
 def energy_l4_p2_check(traj: Trajectory, tol: float = 1e-8) -> CheckRecord:
@@ -145,15 +153,8 @@ def energy_l4_p2_check(traj: Trajectory, tol: float = 1e-8) -> CheckRecord:
     """
     E = [0.5 * lp_norm(s.u, 4) ** 4 + lp_norm(s.P, 2) ** 2 for s in traj.snapshots]
     bound = E[0] + 8.0 * _at_snapshot_times(traj, _cumulative_g_power(traj, 6))
-    worst = _worst(E, bound)
-    return CheckRecord(
-        name="energy-l4-p2",
-        tag="fourth-power-plus-primitive-energy",
-        measured=E[worst],
-        bound=float(bound[worst]),
-        tolerance=tol,
-        detail={"worst_time": float(traj.times[worst])},
-    )
+    return CheckRecord.at_worst("energy-l4-p2", "fourth-power-plus-primitive-energy",
+                                E, bound, tol, traj.times)
 
 
 def p_infty_check(traj: Trajectory, tol: float = 1e-10) -> CheckRecord:
@@ -164,15 +165,8 @@ def p_infty_check(traj: Trajectory, tol: float = 1e-10) -> CheckRecord:
     """
     lhs = [lp_norm(s.P, math.inf) ** 2 for s in traj.snapshots]
     rhs = [2.0 * lp_norm(s.P, 2) * lp_norm(s.u, 2) for s in traj.snapshots]
-    worst = _worst(lhs, rhs)
-    return CheckRecord(
-        name="p-sup-bound",
-        tag="primitive-sup-cauchy-schwarz",
-        measured=lhs[worst],
-        bound=rhs[worst],
-        tolerance=tol,
-        detail={"worst_time": float(traj.times[worst])},
-    )
+    return CheckRecord.at_worst("p-sup-bound", "primitive-sup-cauchy-schwarz",
+                                lhs, rhs, tol, traj.times)
 
 
 def linfty_check(traj: Trajectory, tol: float = 1e-8) -> CheckRecord:
@@ -188,14 +182,8 @@ def linfty_check(traj: Trajectory, tol: float = 1e-8) -> CheckRecord:
     p_running = np.maximum.accumulate([lp_norm(s.P, math.inf) for s in traj.snapshots])
     lhs = [lp_norm(s.u, math.inf) for s in traj.snapshots]
     rhs = base + traj.times * p_running
-    worst = _worst(lhs, rhs)
-    return CheckRecord(
-        name="u-sup-barrier",
-        tag="sup-norm-comparison-barrier",
-        measured=lhs[worst],
-        bound=float(rhs[worst]),
-        tolerance=tol,
-    )
+    return CheckRecord.at_worst("u-sup-barrier", "sup-norm-comparison-barrier",
+                                lhs, rhs, tol)
 
 
 def default_stability_constant(traj_u: Trajectory, traj_v: Trajectory) -> float:
@@ -248,20 +236,10 @@ def stability_compare(
         rhs = growth * windowed_l1(diff0, expanded) * (1.0 + slack)
         rows.append((su.t, lhs, rhs))
     times, lhs, rhs = zip(*rows)
-    worst = _worst(lhs, rhs)
-    return CheckRecord(
-        name="l1-stability",
-        tag="weighted-l1-contraction-cone",
-        measured=lhs[worst],
-        bound=rhs[worst],
-        tolerance=0.0,
-        detail={
-            "constant": C,
-            "window": window,
-            "worst_time": times[worst],
-            "series": [list(r) for r in rows],
-        },
-    )
+    rec = CheckRecord.at_worst("l1-stability", "weighted-l1-contraction-cone",
+                               lhs, rhs, 0.0, times, constant=C, window=window)
+    rec.detail["series"] = [list(r) for r in rows]  # the report lists it after worst_time
+    return rec
 
 
 def epsilon_sweep(
@@ -295,14 +273,7 @@ def epsilon_sweep(
         lp_norm(Field(grid, a.values - b.values), 1)
         for a, b in zip(finals, finals[1:])
     ]
-    later = np.array(dists[1:])
     bound = (1.0 + slack) * np.array(dists[:-1])
-    worst = _worst(later, bound)
-    return CheckRecord(
-        name="viscosity-cauchy",
-        tag="vanishing-viscosity-l1-cauchy",
-        measured=float(later[worst]),
-        bound=float(bound[worst]),
-        tolerance=0.0,
-        detail={"epsilons": eps_list, "l1_differences": dists},
-    )
+    return CheckRecord.at_worst("viscosity-cauchy", "vanishing-viscosity-l1-cauchy",
+                                dists[1:], bound, 0.0,
+                                epsilons=eps_list, l1_differences=dists)

@@ -235,26 +235,22 @@ def compat_mismatch(u0: Field, g0: float) -> str | None:
     return None
 
 
-def _cfl_dt(u: np.ndarray, t: float, config: SolverConfig) -> float:
-    dx = config.grid.dx
+def stable_dt(level: State | Workspace, config: SolverConfig) -> float:
+    """CFL-limited time step of a ``State`` or a ``Workspace``, capped at the
+    time remaining to final_time.
+
+    Advective limit cfl_safety * dx / max(3u^2, floor); diffusion is implicit
+    and adds none.  Raises ``BlowUpError`` when the speed 3 max u^2 overflows.
+    """
+    u, t = (level.u.values if isinstance(level, State) else level.u), level.t
     # max(u^2) without a temporary; a Python float overflows to inf silently
     peak = max(float(u.max()), -float(u.min()))
     speed = max(3.0 * (peak * peak), SPEED_FLOOR)
     if not math.isfinite(speed):
         raise BlowUpError(
             t, f"characteristic speed 3 max u^2 is not finite at t={t:.6g}")
-    dt = config.cfl_safety * dx / speed
-    remaining = config.final_time - t
-    return float(min(dt, remaining))
-
-
-def stable_dt(state: State, config: SolverConfig) -> float:
-    """CFL-limited time step, capped at the time remaining to final_time.
-
-    Advective limit cfl_safety * dx / max(3u^2, floor); diffusion is implicit
-    and adds none.  Raises ``BlowUpError`` when the speed 3 max u^2 overflows.
-    """
-    return _cfl_dt(state.u.values, state.t, config)
+    dt = config.cfl_safety * config.grid.dx / speed
+    return float(min(dt, config.final_time - t))
 
 
 def _upwind_divergence(
@@ -497,7 +493,7 @@ def run(
     for target in snap_times[1:]:  # snap_times[0] == 0.0 already recorded
         landed = False
         while not landed:
-            dt = min(_cfl_dt(ws.u, ws.t, config), target - ws.t)
+            dt = min(stable_dt(ws, config), target - ws.t)
             step(ws, config, g, dt=dt)
             dts.append(dt)
             series.append((ws.t, ws.g_value, ws.boundary_gradient))

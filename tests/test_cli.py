@@ -600,6 +600,18 @@ class TestErrors:
         assert err["error"] == "BlowUpError"
         assert err["time"] == 0.0
 
+    def test_memory_error_is_a_failed_run(self, tmp_path, monkeypatch):
+        # a run too large for memory ends in exit 2 and error.json, not a
+        # traceback; raised from a patched run, so nothing large is allocated
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run", no_memory)
+        out = tmp_path / "out"
+        assert main(["solve", "--scenario", str(tiny_scenario(tmp_path)),
+                     "--out", str(out)]) == 2
+        assert read_json(out / "error.json")["error"] == "MemoryError"
+
 
 # Strings cannot name a path outside the working directory, nor any file or
 # directory in the repository.

@@ -23,7 +23,7 @@ from spe.diagnostics import (
 )
 from spe.fields import Field, lp_norm, make_uniform_grid, windowed_l1
 from spe.nonlocal_source import cumulative_primitive
-from spe.scenarios import preset_initial
+from spe.scenarios import preset_boundary, preset_initial
 from spe.scheme import BoundaryData, SolverConfig, State, Trajectory, run
 
 
@@ -119,6 +119,18 @@ class TestEnergyCheck:
     def test_dissipative_on_s1(self, s1_traj):
         rec = energy_l4_p2_check(s1_traj)
         assert rec.verdict == "pass"
+
+    def test_series_read_at_each_snapshot_step(self):
+        # snapshots closer than the landing tolerance each have a step of
+        # their own; the integral of g^6 is read at that step's row
+        grid = make_uniform_grid(10.0, 400)
+        u0 = preset_initial("bump-derivative", {"a": 1.0, "x0": 2.0, "sigma": 1.0}, grid)
+        config = SolverConfig(eps=1e-2, grid=grid, final_time=0.2,
+                              snapshot_times=(0.1, 0.1 + 5e-13))
+        traj = run(u0, preset_boundary("pulse", {"a": 0.5, "tau": 1.0}), config)
+        rows = _at_snapshot_times(traj, np.arange(len(traj.boundary_series)))
+        assert len(set(rows)) == len(traj.snapshots) == 4
+        assert np.array_equal(traj.boundary_series[rows, 0], traj.times)
 
 
 class TestLinftyCheck:

@@ -52,6 +52,10 @@ MUTANTS = [
     ("dissipation-right-end-dropped", SCHEME,
      "(left * left + right * right)", "(left * left)",
      ["tests/test_scheme.py::TestGradientMeasurements"]),
+    ("flux-difference-downwind", SCHEME,
+     "out[0] = 0.0\n    np.subtract(flux[1:], flux[:-1], out=out[1:])",
+     "out[-1] = 0.0\n    np.subtract(flux[1:], flux[:-1], out=out[:-1])",
+     ["tests/test_scheme.py::TestKernelProperties::test_source_free_step_is_monotone"]),
     ("landing-without-tolerance", SCHEME,
      "LANDING_TOL = 1e-12", "LANDING_TOL = 0.0",
      ["tests/test_scheme.py::TestRun"]),
@@ -68,7 +72,7 @@ MUTANTS = [
      "max(pt * px, dpt * px, pt * dpx)", "max(pt * px, dpt * px)",
      ["tests/test_entropy.py::TestSupportBoxQuadrature"]),
     ("worst-uses-argmin", "src/spe/diagnostics.py",
-     "np.argmax(np.subtract(lhs, rhs))", "np.argmin(np.subtract(lhs, rhs))",
+     "np.argmax(np.subtract(measured, bound))", "np.argmin(np.subtract(measured, bound))",
      ["tests/test_diagnostics.py::TestWorstCaseRule"]),
 ]
 
