@@ -276,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="spe",
         description="Short pulse equation solver and estimate verifier",
+        allow_abbrev=False,
     )
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("--scenario", required=True, help="scenario JSON path")
@@ -315,23 +316,13 @@ def _named_out(argv) -> Path:
     """Where a malformed command line's error goes: its --out directory,
     else spe-out/<subcommand> as for every later error, else spe-out/.
     The options are declared without their rules, so that no option's value
-    is taken for the subcommand.  Each prefix that names one option alone is
-    spelled out first, so an ambiguous prefix leaves the others readable."""
+    is taken for the subcommand.  Options are spelled in full, as
+    ``build_parser`` reads them: an abbreviation is an unrecognized word."""
     parser = _ArgumentParser(add_help=False, allow_abbrev=False)
-    names = []
     for action in build_parser()._actions:
-        names += action.option_strings
         if action.option_strings and action.nargs != 0:
             parser.add_argument(*action.option_strings, nargs="?")
-
-    def spelled_out(word: str) -> str:
-        prefix, equals, value = word.partition("=")
-        matches = [name for name in names if name.startswith(prefix)]
-        unique = word.startswith("--") and len(matches) == 1
-        return matches[0] + equals + value if unique else word
-
-    argv = sys.argv[1:] if argv is None else argv
-    named, rest = parser.parse_known_args([spelled_out(word) for word in argv])
+    named, rest = parser.parse_known_args(argv)
     if named.out:
         return Path(named.out)
     words = [word for word in rest if not word.startswith("-")]
@@ -345,6 +336,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         out = Path(args.out) if args.out else Path("spe-out") / args.subcommand
+        # an earlier run's error record does not outlive this command; a
+        # failure below writes it again
+        (out / "error.json").unlink(missing_ok=True)
         spec = load_scenario(args.scenario)
         if not spec.conforming and args.subcommand != "entropy-check":
             raise DataValidationError(
@@ -358,7 +352,7 @@ def main(argv=None) -> int:
             if mismatch:
                 raise DataValidationError([mismatch])
         return _COMMANDS[args.subcommand](spec, out, args)
-    except (DataValidationError, BlowUpError, ValueError, OSError, MemoryError) as exc:
+    except (BlowUpError, ValueError, OSError, MemoryError) as exc:
         if out is None:  # the command line itself is malformed
             out = _named_out(argv)
         record = {"error": type(exc).__name__, "message": str(exc)}

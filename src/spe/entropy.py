@@ -10,11 +10,12 @@ supported test function phi,
       + I  |u0-c| phi(0,x) dx   >=  0,
 
 with the trace taken at the first interior node (the Dirichlet node itself
-carries g and says nothing about the interior limit).  The checker evaluates
-the left-hand side by space-time trapezoidal quadrature over the snapshot
-grid, summed over phi's support box only, and reports it as the residual;
-admissibility means residual >= -tol with tol scaled by the quadrature
-resolution.
+carries g and says nothing about the interior limit); g is read where ``run``
+stored it, in each snapshot's row of the boundary series.  The checker
+evaluates the left-hand side by space-time trapezoidal quadrature over the
+snapshot grid, summed over phi's support box only, and reports it as the
+residual; admissibility means residual >= -tol with tol scaled by the
+quadrature resolution.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "BumpProfile",
     "TestFunction",
     "make_bump_family",
-    "TraceRecord",
     "extract_trace",
     "entropy_residual",
     "entropy_residuals",
@@ -142,29 +142,14 @@ def make_bump_family(
     ]
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """Numerical boundary trace u(t, x_1) sampled at snapshot times."""
-
-    times: np.ndarray
-    u_trace: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.times) != len(self.u_trace):
-            raise ValueError("times and trace values must have equal length")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("trace times must be strictly increasing")
-
-
-def extract_trace(traj: Trajectory) -> TraceRecord:
-    """Boundary trace taken at the first interior node x_1 = dx.
+def extract_trace(traj: Trajectory) -> np.ndarray:
+    """Boundary trace u(t, x_1) at the first interior node x_1 = dx, one
+    value per snapshot, in the order of ``traj.times``.
 
     For viscous runs this equals g(t) + dx * du/dx(t,0) + O(dx^2); the
     Dirichlet node itself is pinned to g and carries no interior information.
     """
-    times = traj.times
-    vals = np.array([float(s.u.values[1]) for s in traj.snapshots])
-    return TraceRecord(times=times, u_trace=vals)
+    return np.array([s.u.values[1] for s in traj.snapshots])
 
 
 def _support_box(phi: TestFunction, times: np.ndarray, xs: np.ndarray) -> tuple:
@@ -236,7 +221,7 @@ def entropy_residuals(
     traj: Trajectory,
     constants,
     phi: TestFunction,
-    trace: TraceRecord,
+    trace: np.ndarray,
 ) -> np.ndarray:
     """Space-time quadrature of the inequality's left-hand side, one entry
     per Kruzhkov constant c in ``constants``, for one test function.
@@ -263,10 +248,8 @@ def entropy_residuals(
         raise ValueError("test function support exceeds the computed domain")
 
     times = traj.times
-    if len(trace.times) != len(times) or not np.all(
-        np.abs(trace.times - times) <= 1e-10 + 1e-5 * np.abs(times)
-    ):
-        raise ValueError("trace record does not match the trajectory snapshots")
+    if len(trace) != len(times):
+        raise ValueError("trace does not have one value per trajectory snapshot")
     xs = grid.nodes
 
     # trapezoid weights in t (general spacing) and x (uniform) of the whole
@@ -287,7 +270,7 @@ def entropy_residuals(
         P = np.stack([s.P.values[cols] for s in snaps])
         interior.append(W * P * phi.phi(times, xs))
 
-    g_vals = np.array([traj.g(t) for t in times])
+    g_vals = traj.boundary_series[traj.snapshot_rows[rows], 1]
     wt_phi_t0 = wt * phi.phi(times, np.array([0.0]))[:, 0]
     u0 = traj.initial.u.values[cols]
     wx_phi_0x = wx * phi.phi(np.array([0.0]), xs)[0]
@@ -295,7 +278,7 @@ def entropy_residuals(
     c = np.asarray(constants, dtype=float)
     c3 = c**3
     s = _signed_sums(U, interior, c)
-    b = _signed_sums(g_vals, [trace.u_trace[rows] ** 3 * wt_phi_t0, wt_phi_t0], c)
+    b = _signed_sums(g_vals, [trace[rows] ** 3 * wt_phi_t0, wt_phi_t0], c)
     i = _signed_sums(u0, [u0 * wx_phi_0x, wx_phi_0x], c)
     out = (s[0] - c * s[1]) + (s[2] - c3 * s[3])
     if sourced:
@@ -307,7 +290,7 @@ def entropy_residual(
     traj: Trajectory,
     pair: EntropyPair,
     phi: TestFunction,
-    trace: TraceRecord,
+    trace: np.ndarray,
 ) -> float:
     """The inequality's left-hand side for one entropy pair: the one-constant
     case of ``entropy_residuals``."""

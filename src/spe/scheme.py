@@ -213,6 +213,12 @@ class Trajectory:
         """The snapshot times, in order."""
         return np.array([s.t for s in self.snapshots])
 
+    @property
+    def snapshot_rows(self) -> np.ndarray:
+        """The row of each snapshot in ``boundary_series``: each snapshot
+        time is one of the step times, stored exactly."""
+        return np.searchsorted(self.boundary_series[:, 0], self.times)
+
 
 def _one_sided_gradient(values: np.ndarray, dx: float) -> float:
     # second-order three-point formula at x=0

@@ -543,11 +543,12 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv, directory", [
         (["--constants", "0", "sweep", "--scenario", "s.json"], "spe-out/sweep"),
-        (["solve", "--s", "s.json"], "spe-out/solve"),  # an ambiguous prefix
-        (["--ou", "o", "solve", "--delta", "nan"], "o"),
-        (["--sc", "solve", "--constants", "0"], "spe-out"),
+        (["solve", "--s", "s.json"], "spe-out/solve"),  # an abbreviation
+        (["--out", "o", "solve", "--delta", "nan"], "o"),
+        (["--scenario", "solve", "--constants", "0"], "spe-out"),
         (["bogus", "solve", "--scenario", "s.json"], "spe-out"),
-        (["solve", "--st", "--ou", "o"], "o"),  # --st is ambiguous, --ou is not
+        (["solve", "--strict-compat", "--out", "o"], "o"),
+        (["solve", "--ou", "o"], "spe-out/solve"),  # --ou is not --out
     ])
     def test_error_directory_of_malformed_command_line(self, tmp_path, monkeypatch,
                                                         argv, directory):
@@ -611,6 +612,16 @@ class TestErrors:
         assert main(["solve", "--scenario", str(tiny_scenario(tmp_path)),
                      "--out", str(out)]) == 2
         assert read_json(out / "error.json")["error"] == "MemoryError"
+
+    def test_completed_command_removes_an_earlier_error(self, tmp_path):
+        # error.json describes the last command into --out, not an earlier one
+        out = tmp_path / "out"
+        riemann = str(builtin_scenario_path("riemann"))
+        assert main(["solve", "--scenario", riemann, "--out", str(out)]) == 2
+        assert read_json(out / "error.json")["error"] == "DataValidationError"
+        assert main(["solve", "--scenario", str(tiny_scenario(tmp_path)),
+                     "--out", str(out)]) == 0
+        assert not (out / "error.json").exists()
 
 
 # Strings cannot name a path outside the working directory, nor any file or

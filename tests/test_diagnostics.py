@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spe.diagnostics import (
-    _at_snapshot_times,
     _cumulative_g_power,
     default_stability_constant,
     energy_l4_p2_check,
@@ -128,7 +127,7 @@ class TestEnergyCheck:
         config = SolverConfig(eps=1e-2, grid=grid, final_time=0.2,
                               snapshot_times=(0.1, 0.1 + 5e-13))
         traj = run(u0, preset_boundary("pulse", {"a": 0.5, "tau": 1.0}), config)
-        rows = _at_snapshot_times(traj, np.arange(len(traj.boundary_series)))
+        rows = traj.snapshot_rows
         assert len(set(rows)) == len(traj.snapshots) == 4
         assert np.array_equal(traj.boundary_series[rows, 0], traj.times)
 
@@ -326,7 +325,7 @@ class TestWorstCaseRule:
         snaps = traj.snapshots
 
         E = [0.5 * lp_norm(s.u, 4) ** 4 + lp_norm(s.P, 2) ** 2 for s in snaps]
-        g6 = 8.0 * _at_snapshot_times(traj, _cumulative_g_power(traj, 6))
+        g6 = 8.0 * _cumulative_g_power(traj, 6)[traj.snapshot_rows]
         want = loop_worst((e, E[0] + b, s.t) for e, b, s in zip(E, g6, snaps))
         rec = energy_l4_p2_check(traj)
         assert (rec.measured, rec.bound, rec.detail["worst_time"]) == want

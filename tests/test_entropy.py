@@ -15,7 +15,6 @@ from spe.entropy import TestFunction as SeparableBump
 from spe.entropy import (
     BumpProfile,
     EntropyPair,
-    TraceRecord,
     _support_box,
     entropy_residual,
     entropy_residuals,
@@ -107,7 +106,7 @@ class TestTrace:
             grid, times, [np.zeros(33)] * 3, BoundaryData.zero()
         )
         trace = extract_trace(traj)
-        assert np.all(trace.u_trace == 0.0)
+        assert np.all(trace == 0.0)
 
     def test_constant_trajectory(self):
         grid = make_uniform_grid(10.0, 32)
@@ -118,13 +117,7 @@ class TestTrace:
             grid, times, [np.full(33, k)] * 3, g
         )
         trace = extract_trace(traj)
-        assert np.allclose(trace.u_trace, k)
-
-    def test_record_invariants(self):
-        with pytest.raises(ValueError):
-            TraceRecord(times=np.array([0.0, 1.0]), u_trace=np.array([1.0]))
-        with pytest.raises(ValueError):
-            TraceRecord(times=np.array([1.0, 0.5]), u_trace=np.array([1.0, 2.0]))
+        assert np.allclose(trace, k)
 
     def test_viscosity_sequence_trace_cauchy(self, s1_spec):
         # Cauchy contraction of the trace series sets in once the viscous
@@ -138,9 +131,9 @@ class TestTrace:
             config = replace(spec.config, eps=eps)
             traj = run(spec.initial, spec.boundary, config)
             traces.append(extract_trace(traj))
-        t = traces[0].times
-        d1 = np.trapezoid(np.abs(traces[0].u_trace - traces[1].u_trace), t)
-        d2 = np.trapezoid(np.abs(traces[1].u_trace - traces[2].u_trace), t)
+        t = traj.times
+        d1 = np.trapezoid(np.abs(traces[0] - traces[1]), t)
+        d2 = np.trapezoid(np.abs(traces[1] - traces[2]), t)
         assert d2 <= d1 * 1.1
 
 
@@ -198,9 +191,24 @@ class TestEntropyResidual:
     def test_trace_alignment_validated(self):
         traj = self.zero_traj()
         phi = make_bump_family((0.0, 1.0), (0.0, 10.0), (1, 1))[0]
-        stale = TraceRecord(times=np.array([0.0, 1.0]), u_trace=np.zeros(2))
         with pytest.raises(ValueError, match="trace"):
-            entropy_residual(traj, EntropyPair(c=0.0), phi, stale)
+            entropy_residual(traj, EntropyPair(c=0.0), phi, np.zeros(2))
+
+    def test_reads_g_from_the_boundary_series(self):
+        # g enters through the run's per-step series, never through a second
+        # evaluation: a datum that raises when called changes nothing
+        traj, trace = box_trajectory()
+
+        def unreachable(t):
+            raise AssertionError(f"g evaluated at t={t!r}")
+
+        blind = replace(traj, g=BoundaryData(g=unreachable, sup_bound=0.4))
+        constants = np.linspace(-1.2, 1.2, 7)
+        for phi in make_bump_family((0.0, 1.0), (0.0, 6.0), (3, 3)):
+            np.testing.assert_array_equal(
+                entropy_residuals(blind, constants, phi, trace),
+                entropy_residuals(traj, constants, phi, trace))
+            assert entropy_tolerance(phi, blind) == entropy_tolerance(phi, traj)
 
     def test_linearity_in_test_function(self, s1_traj):
         fam = make_bump_family((0.0, 1.0), (0.0, 10.0), (3, 3))
@@ -263,7 +271,7 @@ class TestEntropyResidual:
         weak = (
             np.sum(W * (U * phi.dphi_dt(times, xs) + U**3 * phi.dphi_dx(times, xs)))
             + np.sum(W * P * phi.phi(times, xs))
-            + np.sum(wt * trace.u_trace**3 * phi.phi(times, np.array([0.0]))[:, 0])
+            + np.sum(wt * trace**3 * phi.phi(times, np.array([0.0]))[:, 0])
             + np.sum(wx * s1_traj.initial.u.values * phi.phi(np.array([0.0]), xs)[0])
         )
         for c in (m - 0.5, m - 1.5):
@@ -313,7 +321,7 @@ def full_grid_residual(traj, c, phi, trace):
         source = np.sum(W * sgn * P * phi.phi(times, xs))
     g_vals = np.array([traj.g(t) for t in times])
     boundary = np.sum(
-        wt * np.sign(g_vals - c) * (trace.u_trace**3 - c**3)
+        wt * np.sign(g_vals - c) * (trace**3 - c**3)
         * phi.phi(times, np.array([0.0]))[:, 0]
     )
     initial = np.sum(
@@ -417,6 +425,23 @@ class TestSupportBoxQuadrature:
             for c in (-0.4, 0.0, 0.7):
                 ref = full_grid_residual(traj, c, phi, trace)
                 r = entropy_residual(traj, EntropyPair(c=c), phi, trace)
+                assert abs(r - ref) <= 1e-13 * (1.0 + abs(ref))
+
+    def test_pulse_boundary_read_at_snapshot_rows(self, s2_traj):
+        # s2 takes many steps between snapshots and its pulse g varies in
+        # time, so a snapshot's row in the per-step series is not its index
+        traj = s2_traj
+        assert not np.array_equal(traj.snapshot_rows, np.arange(len(traj.snapshots)))
+        trace = extract_trace(traj)
+        sup_u = max(float(np.max(np.abs(s.u.values))) for s in traj.snapshots)
+        constants = np.linspace(-sup_u, sup_u, 5)
+        family = make_bump_family(
+            (0.0, traj.config.final_time), (0.0, traj.config.grid.length), (3, 3)
+        )
+        for phi in family:
+            rs = entropy_residuals(traj, constants, phi, trace)
+            for c, r in zip(constants, rs):
+                ref = full_grid_residual(traj, c, phi, trace)
                 assert abs(r - ref) <= 1e-13 * (1.0 + abs(ref))
 
 

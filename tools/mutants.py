@@ -59,6 +59,10 @@ MUTANTS = [
     ("landing-without-tolerance", SCHEME,
      "LANDING_TOL = 1e-12", "LANDING_TOL = 0.0",
      ["tests/test_scheme.py::TestRun"]),
+    ("snapshot-rows-one-late", SCHEME,
+     "np.searchsorted(self.boundary_series[:, 0], self.times)",
+     'np.searchsorted(self.boundary_series[:, 0], self.times, side="right")',
+     ["tests/test_diagnostics.py::TestEnergyCheck::test_series_read_at_each_snapshot_step"]),
     ("support-box-not-widened", ENTROPY,
      "return slice(max(start - 1, 0), stop + 1)", "return slice(start, stop)",
      ["tests/test_entropy.py::TestSupportBoxQuadrature"]),
@@ -68,6 +72,11 @@ MUTANTS = [
     ("signed-sums-lower-term-dropped", ENTROPY,
      "    return above - below\n", "    return above\n",
      ["tests/test_entropy.py::TestSortedSums"]),
+    ("entropy-g-from-gradient-column", ENTROPY,
+     "traj.boundary_series[traj.snapshot_rows[rows], 1]",
+     "traj.boundary_series[traj.snapshot_rows[rows], 2]",
+     ["tests/test_entropy.py::TestSupportBoxQuadrature::"
+      "test_pulse_boundary_read_at_snapshot_rows"]),
     ("tolerance-drops-a-product", ENTROPY,
      "max(pt * px, dpt * px, pt * dpx)", "max(pt * px, dpt * px)",
      ["tests/test_entropy.py::TestSupportBoxQuadrature"]),
