@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import replace
@@ -101,6 +102,11 @@ def _run_scenario(spec: ScenarioSpec) -> Trajectory:
 
 def _cmd_solve(spec: ScenarioSpec, out: Path, args) -> int:
     traj = _run_scenario(spec)
+    # an earlier run's snapshot files in ``out`` would read as this run's;
+    # any other file there is left alone
+    for path in out.glob("snapshot_*.csv"):
+        if re.fullmatch(r"snapshot_[0-9]{3,}\.csv", path.name):
+            path.unlink()
     # x is the same column in every snapshot and t is constant in one, so
     # each is formatted once
     x_text = list(_float_text(spec.grid.nodes))

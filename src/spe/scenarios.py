@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -142,7 +141,6 @@ class ScenarioSpec:
     boundary: BoundaryData
     physical: tuple | None
     conforming: bool
-    raw: dict
 
     @property
     def grid(self) -> Grid:
@@ -316,7 +314,6 @@ def parse_scenario(doc: dict, *, source: str = "<memory>") -> ScenarioSpec:
         boundary=g,
         physical=physical,
         conforming=conforming,
-        raw=doc,
     )
 
 
@@ -338,7 +335,8 @@ def _load_field_csv(path: Path, grid: Grid) -> Field:
     if data.shape[1] < 2:
         raise DataValidationError([f"{path}: field file needs columns x,u"])
     xs, us = data[:, 0], data[:, 1]
-    if len(xs) != grid.node_count or not np.allclose(xs, grid.nodes, atol=1e-9):
+    if (len(xs) != grid.node_count
+            or not np.allclose(xs, grid.nodes, rtol=0.0, atol=1e-9)):
         raise DataValidationError(
             [f"{path}: sample nodes do not match the scenario grid"]
         )
@@ -363,6 +361,4 @@ def _load_boundary_csv(path: Path) -> BoundaryData:
 
 def builtin_scenario_path(name: str) -> Path:
     """Filesystem path of a scenario shipped with the package (s1, s2, riemann)."""
-    ref = resources.files("spe").joinpath(f"data/{name}.json")
-    with resources.as_file(ref) as p:
-        return Path(p)
+    return Path(__file__).with_name("data") / f"{name}.json"

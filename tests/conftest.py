@@ -6,6 +6,7 @@ module tests share them instead of re-integrating.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import replace
 
@@ -19,6 +20,16 @@ from spe.scheme import run
 def run_times():
     """Wall-clock seconds of the shared reference runs, keyed by label."""
     return {}
+
+
+def shipped_document(name):
+    """A shipped scenario's JSON document, as read from its file."""
+    return json.loads(builtin_scenario_path(name).read_text(encoding="utf-8"))
+
+
+@pytest.fixture
+def s1_doc():
+    return shipped_document("s1")
 
 
 @pytest.fixture(scope="session")
@@ -54,10 +65,11 @@ def s2_traj(s2_spec, run_times):
 
 
 def rescale_scenario(spec, n):
-    """Same scenario on an n-cell grid (data re-sampled from the presets)."""
+    """Same shipped scenario on an n-cell grid (data re-sampled from the
+    presets)."""
     from spe.scenarios import parse_scenario
 
-    doc = {**dict(spec.raw), "grid": {"L": spec.grid.length, "n": n}}
+    doc = {**shipped_document(spec.name), "grid": {"L": spec.grid.length, "n": n}}
     return parse_scenario(doc, source=f"<rescaled n={n}>")
 
 

@@ -139,6 +139,25 @@ class TestSolve:
             assert rows.shape == (3, 4) and np.isfinite(rows).all()
             assert rows[0, 2] == g(rows[0, 0]) and rows[-1, 2] == 0.0
 
+    def test_rerun_leaves_only_its_own_snapshots(self, tmp_path):
+        # a shorter run into a used directory removes the earlier run's
+        # snapshot_NNN.csv files, and no other file
+        out = tmp_path / "out"
+
+        def solve(snapshots):
+            scenario = tiny_scenario(tmp_path, time={"T": 0.2, "snapshots": snapshots})
+            return main(["solve", "--scenario", str(scenario), "--out", str(out)])
+
+        assert solve([0.05, 0.1, 0.15]) == 0
+        (out / "snapshot_notes.csv").write_text("mine\n")
+        (out / "notes.txt").write_text("mine\n")
+        assert solve([0.1]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "boundary.csv", "notes.txt", "run.json", "snapshot_000.csv",
+            "snapshot_001.csv", "snapshot_002.csv", "snapshot_notes.csv"]
+        assert read_json(out / "run.json")["snapshot_times"] == [0.0, 0.1, 0.2]
+        assert (out / "snapshot_notes.csv").read_text() == "mine\n"
+
     def test_nonconforming_rejected_outside_entropy(self, tmp_path):
         out = tmp_path / "out"
         code = main([

@@ -1,6 +1,5 @@
 """Preset construction, admissibility validation, and scenario loading."""
 
-import json
 import math
 import warnings
 
@@ -89,15 +88,15 @@ class TestPresetBoundary:
 
 
 class TestLoadScenario:
-    def test_builtin_s1(self, s1_spec):
+    def test_builtin_s1(self, s1_spec, s1_doc):
         assert s1_spec.name == "s1"
         assert s1_spec.grid.cell_count == 2000
         assert s1_spec.config.eps == 0.01
-        assert "scheme" not in s1_spec.raw  # the viscosity decides it
+        assert "scheme" not in s1_doc  # the viscosity decides it
         assert s1_spec.conforming
 
-    def test_round_trip(self, s1_spec):
-        again = parse_scenario(json.loads(json.dumps(s1_spec.raw)))
+    def test_round_trip(self, s1_spec, s1_doc):
+        again = parse_scenario(s1_doc)
         assert again.name == s1_spec.name
         assert again.config == s1_spec.config
         assert np.array_equal(again.initial.values, s1_spec.initial.values)
@@ -122,6 +121,23 @@ class TestLoadScenario:
         }
         with pytest.raises(DataValidationError, match="zero-mean"):
             parse_scenario(doc)
+
+    @pytest.mark.parametrize("scale, accepted", [(1 + 9e-11, True), (1 + 9e-6, False)],
+                             ids=["off-by-9e-10", "off-by-9e-5"])
+    def test_field_file_nodes_within_absolute_1e9(self, s1_spec, s1_doc, tmp_path,
+                                                 scale, accepted):
+        # nodes off by up to 9e-5 (1.8% of a cell at n = 2000) are off the grid,
+        # although numpy's default relative tolerance would take them
+        xs = s1_spec.grid.nodes * scale
+        field_file = tmp_path / "u0.csv"
+        field_file.write_text("x,u\n" + "\n".join(
+            f"{x!r},{u!r}" for x, u in zip(xs.tolist(), s1_spec.initial.values.tolist())))
+        doc = {**s1_doc, "initial": {"file": str(field_file)}}
+        if accepted:
+            assert np.array_equal(parse_scenario(doc).initial.values, s1_spec.initial.values)
+        else:
+            with pytest.raises(DataValidationError, match="do not match the scenario grid"):
+                parse_scenario(doc)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_file_datum_reports_l1(self, tmp_path):
@@ -169,17 +185,17 @@ class TestLoadScenario:
         assert violations[1] == (
             "scenario <memory>: initial primitive must be square integrable")
 
-    def test_unbounded_file_boundary_rejected(self, s1_spec, tmp_path):
+    def test_unbounded_file_boundary_rejected(self, s1_doc, tmp_path):
         boundary_file = tmp_path / "g.csv"
         boundary_file.write_text("t,g\n0.0,0.0\n1.0,inf\n")
-        doc = {**s1_spec.raw, "boundary": {"file": str(boundary_file)}}
+        doc = {**s1_doc, "boundary": {"file": str(boundary_file)}}
         with pytest.raises(DataValidationError, match="essentially bounded"):
             parse_scenario(doc)
 
-    def test_one_row_boundary_file_is_constant(self, s1_spec, tmp_path):
+    def test_one_row_boundary_file_is_constant(self, s1_doc, tmp_path):
         boundary_file = tmp_path / "g.csv"
         boundary_file.write_text("t,g\n0.0,0.25\n")
-        doc = {**s1_spec.raw, "boundary": {"file": str(boundary_file)}}
+        doc = {**s1_doc, "boundary": {"file": str(boundary_file)}}
         g = parse_scenario(doc).boundary
         assert (g(0.0), g(1.0), g.sup_bound) == (0.25, 0.25, 0.25)
         boundary_file.write_text("t,g\n")  # a header alone is no datum
@@ -192,11 +208,11 @@ class TestLoadScenario:
         "0.0,0.0\n0.05,0.3\n0.05,0.1\n0.2,0.0\n",
         "0.0,0.0\nnan,0.4\n0.2,0.0\n",
     ], ids=["decreasing", "repeated", "nan"])
-    def test_boundary_file_times_must_increase(self, s1_spec, tmp_path, rows):
+    def test_boundary_file_times_must_increase(self, s1_doc, tmp_path, rows):
         # np.interp reads unordered or repeated times without complaint
         boundary_file = tmp_path / "g.csv"
         boundary_file.write_text("t,g\n" + rows)
-        doc = {**s1_spec.raw, "boundary": {"file": str(boundary_file)}}
+        doc = {**s1_doc, "boundary": {"file": str(boundary_file)}}
         with pytest.raises(DataValidationError) as excinfo:
             parse_scenario(doc)
         assert excinfo.value.violations == [
@@ -246,13 +262,13 @@ class TestLoadScenario:
         ({"epsilon": "0.01", "boundary": {"preset": "ramp"}},
          "'epsilon' must be a number.*; .*unknown boundary preset 'ramp'"),
     ])
-    def test_schema_violations_reported(self, s1_spec, change, match):
+    def test_schema_violations_reported(self, s1_doc, change, match):
         with pytest.raises(DataValidationError, match=match):
-            parse_scenario({**s1_spec.raw, **change})
+            parse_scenario({**s1_doc, **change})
 
-    def test_nan_snapshot_time_rejected(self, s1_spec):
+    def test_nan_snapshot_time_rejected(self, s1_doc):
         # a nan snapshot would never be reached, and every later one skipped
-        doc = {**s1_spec.raw, "time": {"T": 1.0, "snapshots": [math.nan, 0.5]}}
+        doc = {**s1_doc, "time": {"T": 1.0, "snapshots": [math.nan, 0.5]}}
         with pytest.raises(ValueError, match="snapshot times"):
             parse_scenario(doc)
 

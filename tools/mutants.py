@@ -3,10 +3,10 @@ quadrature has a test that fails without it.
 
 Each entry of ``MUTANTS`` names a file, a text in it, the text that replaces
 it and the pytest selection that must fail once it is replaced.  For each
-entry, ``src/`` and ``tests/`` (with ``pyproject.toml``, which holds the
-pytest settings) are copied to a temporary directory, the one edit is made
-there and the selection runs against that copy; the working tree is never
-edited.
+entry, ``src/``, ``tests/``, ``bench/`` and ``README.md`` (which tests
+read) and ``pyproject.toml`` (which holds the pytest settings) are copied to
+a temporary directory, the one edit is made there and the selection runs
+against that copy; the working tree is never edited.
 
 Usage: python3 tools/mutants.py
 
@@ -90,10 +90,11 @@ def check(file: str, old: str, new: str, selection: list) -> str:
     """'killed', 'survived' or 'error: <why>' for one mutant."""
     with tempfile.TemporaryDirectory(prefix="spe-mutant-") as tmp:
         copy = Path(tmp)
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "bench"):
             shutil.copytree(ROOT / name, copy / name,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy2(ROOT / "pyproject.toml", copy)
+                            ignore=shutil.ignore_patterns("__pycache__", ".work"))
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / name, copy)
         target = copy / file
         text = target.read_text(encoding="utf-8")
         if text.count(old) != 1:
