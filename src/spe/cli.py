@@ -62,6 +62,11 @@ BALANCE_TOL_FACTOR = 300.0      # times dx * (1 + ||u0||_2^2 + T sup g^4)
 #: is about 150 bytes of entropy.json, so the file stays near 15 MB
 MAX_ENTROPY_ROWS = 10**5
 
+#: the files spe writes into an output directory: ``main`` removes them
+#: there before a command runs and again before it records a failure
+_OUTPUT_FILE = re.compile(r"snapshot_[0-9]{3,}\.csv|boundary\.csv"
+                          r"|(run|report|entropy|stability|sweep|scale|error)\.json")
+
 
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -74,6 +79,15 @@ def _write_atomic(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _remove_outputs(out: Path) -> None:
+    """Remove the ``_OUTPUT_FILE`` files from ``out``, if it exists, and no
+    other file (a directory of such a name is not one)."""
+    if out.is_dir():
+        for path in out.iterdir():
+            if _OUTPUT_FILE.fullmatch(path.name) and not path.is_dir():
+                path.unlink()
 
 
 def write_json(path: Path, doc) -> None:
@@ -102,11 +116,6 @@ def _run_scenario(spec: ScenarioSpec) -> Trajectory:
 
 def _cmd_solve(spec: ScenarioSpec, out: Path, args) -> int:
     traj = _run_scenario(spec)
-    # an earlier run's snapshot files in ``out`` would read as this run's;
-    # any other file there is left alone
-    for path in out.glob("snapshot_*.csv"):
-        if re.fullmatch(r"snapshot_[0-9]{3,}\.csv", path.name):
-            path.unlink()
     # x is the same column in every snapshot and t is constant in one, so
     # each is formatted once
     x_text = list(_float_text(spec.grid.nodes))
@@ -342,9 +351,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         out = Path(args.out) if args.out else Path("spe-out") / args.subcommand
-        # an earlier run's error record does not outlive this command; a
-        # failure below writes it again
-        (out / "error.json").unlink(missing_ok=True)
+        # no earlier command's file is left to be read as this one's
+        _remove_outputs(out)
         spec = load_scenario(args.scenario)
         if not spec.conforming and args.subcommand != "entropy-check":
             raise DataValidationError(
@@ -367,6 +375,7 @@ def main(argv=None) -> int:
         if isinstance(exc, BlowUpError):
             record["time"] = exc.time
         try:
+            _remove_outputs(out)
             write_json(out / "error.json", record)
         except OSError:
             pass

@@ -27,10 +27,10 @@ diffusion (eps > 0, "imex") is backward Euler, whose tridiagonal matrix is
 symmetric positive definite; the inviscid scheme (eps = 0, "explicit") has
 no diffusion stage.
 
-``run`` advances a ``Workspace``: the current u and P plus scratch arrays,
-allocated once per run, that ``step`` overwrites in place.  ``Field`` and
-``State`` objects are built only for the initial datum and at snapshot
-landings.
+``Workspace`` is the kernel's one time level: the current u and P plus
+scratch arrays, allocated once per run, that ``step`` overwrites in place.
+``State`` records of read-only Fields are built only for the initial datum
+and at snapshot landings.
 
 The diffusion matrix has diagonal 1 + 2r and off-diagonal -r (r = eps dt /
 dx^2) and is solved as LAPACK ``dptsv`` solves it, ``dpttrf`` (factor) then
@@ -177,13 +177,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class State:
-    """One time level: the solution, its synchronized primitive, and the
-    one-sided boundary gradient du/dx(t,0)."""
+    """A recorded time level: the solution and its synchronized primitive."""
 
     t: float
     u: Field
     P: Field
-    boundary_gradient: float
 
 
 @dataclass(frozen=True)
@@ -197,12 +195,14 @@ class Trajectory:
     """
 
     config: SolverConfig
-    g: BoundaryData
-    initial: State
     snapshots: tuple
     boundary_series: np.ndarray = field(repr=False)
     grad_sq_series: np.ndarray = field(repr=False)
     step_log: np.ndarray = field(repr=False)
+
+    @property
+    def initial(self) -> State:
+        return self.snapshots[0]
 
     @property
     def final(self) -> State:
@@ -241,22 +241,20 @@ def compat_mismatch(u0: Field, g0: float) -> str | None:
     return None
 
 
-def stable_dt(level: State | Workspace, config: SolverConfig) -> float:
-    """CFL-limited time step of a ``State`` or a ``Workspace``, capped at the
-    time remaining to final_time.
-
-    Advective limit cfl_safety * dx / max(3u^2, floor); diffusion is implicit
-    and adds none.  Raises ``BlowUpError`` when the speed 3 max u^2 overflows.
+def stable_dt(ws: Workspace, config: SolverConfig) -> float:
+    """CFL-limited time step of a ``Workspace``, cfl_safety * dx /
+    max(3u^2, floor); diffusion is implicit and adds none.  ``run`` shortens
+    it to land on each snapshot time.  Raises ``BlowUpError`` when the speed
+    3 max u^2 overflows.
     """
-    u, t = (level.u.values if isinstance(level, State) else level.u), level.t
+    u, t = ws.u, ws.t
     # max(u^2) without a temporary; a Python float overflows to inf silently
     peak = max(float(u.max()), -float(u.min()))
     speed = max(3.0 * (peak * peak), SPEED_FLOOR)
     if not math.isfinite(speed):
         raise BlowUpError(
             t, f"characteristic speed 3 max u^2 is not finite at t={t:.6g}")
-    dt = config.cfl_safety * config.grid.dx / speed
-    return float(min(dt, config.final_time - t))
+    return config.cfl_safety * config.grid.dx / speed
 
 
 def _upwind_divergence(
@@ -363,18 +361,17 @@ class Workspace:
             t=self.t,
             u=Field(self.grid, self.u),
             P=Field(self.grid, self.P),
-            boundary_gradient=self.boundary_gradient,
         )
 
 
 def step(
-    level: State | Workspace,
+    ws: Workspace,
     config: SolverConfig,
     g: BoundaryData,
     *,
     dt: float,
-) -> State | None:
-    """Advance one time level.
+) -> None:
+    """Advance the ``Workspace`` one time level in place.
 
     Explicit upwind advection and explicit gauged source, implicit
     backward-Euler diffusion when eps > 0, Dirichlet enforcement
@@ -382,18 +379,13 @@ def step(
     recomputed from the new u and the boundary gradient refreshed with the
     one-sided three-point formula.
 
-    Given a ``State``, returns the next State.  Given a ``Workspace``,
-    advances it in place and returns None; this is the form ``run`` uses,
-    which builds no Field or State per step.  Either way g(t+dt) is
-    evaluated once.  A time step ``dt`` that does not advance t, a failed
-    diffusion factorization or a non-finite result raises ``BlowUpError``
-    with the time, before anything non-finite is stored.
-    ``config.include_source`` selects the sourced, projected problem.
+    g(t+dt) is evaluated once, and no Field or State is built.  A time step
+    ``dt`` that does not advance t, a failed diffusion factorization or a
+    non-finite result raises ``BlowUpError`` with the time, before anything
+    non-finite is stored.  ``config.include_source`` selects the sourced,
+    projected problem.
     """
     grid = config.grid
-    ws = level
-    if isinstance(level, State):
-        ws = Workspace(level.u.grid, level.t, level.u.values, level.P.values)
     if ws.t >= config.final_time:
         raise ValueError("state is already at or beyond final_time")
     dx = grid.dx
@@ -449,7 +441,6 @@ def step(
         ws.t = t_new
         ws.g_value = g_new
         ws.measure_gradient()
-    return ws.state() if ws is not level else None
 
 
 def run(
@@ -490,8 +481,7 @@ def run(
 
     P0 = cumulative_primitive(u0)
     ws = Workspace(config.grid, 0.0, u0.values, P0.values)
-    initial = State(t=0.0, u=u0, P=P0, boundary_gradient=ws.boundary_gradient)
-    snapshots = [initial]
+    snapshots = [State(t=0.0, u=u0, P=P0)]
     series = [(0.0, g0, ws.boundary_gradient)]
     grad_sq = [ws.grad_sq]
     dts = []
@@ -509,8 +499,6 @@ def run(
 
     return Trajectory(
         config=config,
-        g=g,
-        initial=initial,
         snapshots=tuple(snapshots),
         boundary_series=np.asarray(series),
         grad_sq_series=np.asarray(grad_sq),

@@ -7,13 +7,23 @@ module tests share them instead of re-integrating.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import spe
 from spe.scenarios import builtin_scenario_path, load_scenario
 from spe.scheme import run
+
+
+def subprocess_env():
+    """The environment of a subprocess that imports this spe, wherever the
+    suite imported it from: its ``src`` directory first on ``PYTHONPATH``."""
+    path = [str(Path(spe.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 @pytest.fixture(scope="session")

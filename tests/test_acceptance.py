@@ -31,7 +31,7 @@ from spe.entropy import (
 from spe.fields import Field, lp_norm, make_uniform_grid, windowed_l1
 from spe.nonlocal_source import cumulative_primitive
 from spe.scenarios import preset_initial
-from spe.scheme import BoundaryData, SolverConfig, State, Trajectory, run, stable_dt, step
+from spe.scheme import BoundaryData, SolverConfig, State, Trajectory, Workspace, run, stable_dt, step
 from conftest import rescale_scenario, timed_run
 
 
@@ -138,17 +138,14 @@ def exact_shock_trajectory(grid, times):
         eps=0.0, grid=grid, final_time=float(times[-1]), scheme="explicit",
         snapshot_times=tuple(times), include_source=False,
     )
-    g = BoundaryData(g=lambda t: 1.0, sup_bound=1.0)
     states = []
     for t in times:
         vals = np.where(grid.nodes < 0.5 + t, 1.0, 0.0)
         u = Field(grid, vals)
-        states.append(
-            State(t=float(t), u=u, P=cumulative_primitive(u), boundary_gradient=0.0)
-        )
+        states.append(State(t=float(t), u=u, P=cumulative_primitive(u)))
     series = np.array([[s.t, 1.0, 0.0] for s in states])
     return Trajectory(
-        config=config, g=g, initial=states[0], snapshots=tuple(states),
+        config=config, snapshots=tuple(states),
         boundary_series=series, grad_sq_series=np.zeros(len(states)),
         step_log=np.diff(np.asarray(times, dtype=float)),
     )
@@ -331,13 +328,11 @@ def test_criterion_10_single_step_oracle_equivalence(s1_spec):
     cases = {}
 
     u0 = preset_initial("bump-derivative", {"a": 1.0, "x0": 2.0, "sigma": 1.0}, grid)
-    state = State(
-        t=0.0, u=u0, P=cumulative_primitive(u0),
-        boundary_gradient=(-3 * u0.values[0] + 4 * u0.values[1] - u0.values[2]) / (2 * grid.dx),
-    )
-    dt = stable_dt(state, config)
+    ws = Workspace(grid, 0.0, u0.values, cumulative_primitive(u0).values)
+    dt = stable_dt(ws, config)
+    step(ws, config, g, dt=dt)
     cases["s1 first step"] = (
-        step(state, config, g, dt=dt).u.values,
+        ws.u,
         dense_reference_step(u0.values, grid, dt, config.eps, 0.0),
     )
 
@@ -346,13 +341,11 @@ def test_criterion_10_single_step_oracle_equivalence(s1_spec):
     rand_vals[0] = 0.0
     rand_vals[-1] = 0.0
     u_r = Field(grid, rand_vals)
-    state_r = State(
-        t=0.0, u=u_r, P=cumulative_primitive(u_r),
-        boundary_gradient=0.0,
-    )
-    dt_r = stable_dt(state_r, config)
+    ws_r = Workspace(grid, 0.0, u_r.values, cumulative_primitive(u_r).values)
+    dt_r = stable_dt(ws_r, config)
+    step(ws_r, config, g, dt=dt_r)
     cases["randomized state"] = (
-        step(state_r, config, g, dt=dt_r).u.values,
+        ws_r.u,
         dense_reference_step(rand_vals, grid, dt_r, config.eps, 0.0),
     )
 

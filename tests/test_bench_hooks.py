@@ -7,12 +7,11 @@ test finds that in the unit suite.  It reads ``bench/`` and changes nothing
 there.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import spe
+from conftest import subprocess_env
 
 CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
 
@@ -26,9 +25,6 @@ def test_tracer_and_run_recorder_install():
         "child.install_tracer(child.Tracer())\n"
         "child.record_runs([], None)\n"
     )
-    # the subprocess imports this spe, wherever it was imported from
-    path = [str(Path(spe.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    out = subprocess.run([sys.executable, "-c", code, str(CHILD)], env=env,
+    out = subprocess.run([sys.executable, "-c", code, str(CHILD)], env=subprocess_env(),
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr

@@ -141,7 +141,7 @@ class TestSolve:
 
     def test_rerun_leaves_only_its_own_snapshots(self, tmp_path):
         # a shorter run into a used directory removes the earlier run's
-        # snapshot_NNN.csv files, and no other file
+        # snapshot_NNN.csv files, and no file that spe does not write
         out = tmp_path / "out"
 
         def solve(snapshots):
@@ -167,6 +167,75 @@ class TestSolve:
         assert code == 2
         err = read_json(out / "error.json")
         assert "entropy-check" in err["message"]
+
+
+def tree(directory):
+    """Every file in ``directory`` by name, with its bytes."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestOutputTree:
+    """Whatever a directory held before, a command leaves in it only its
+    own files of those spe writes, whether it completes or fails."""
+
+    def test_failed_and_shorter_reruns_leave_one_runs_tree(self, tmp_path, s1_doc):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        short = tmp_path / "s1-short.json"
+        short.write_text(json.dumps(
+            {**s1_doc, "time": {**s1_doc["time"], "snapshots": [0.5]}}))
+
+        def solve(scenario, directory):
+            return main(["solve", "--scenario", str(scenario), "--out", str(directory)])
+
+        assert solve(builtin_scenario_path("s1"), out) == 0
+        assert len(tree(out)) == 13
+        assert solve(builtin_scenario_path("riemann"), out) == 2
+        assert list(tree(out)) == ["error.json"]
+        assert solve(short, out) == 0
+        assert solve(short, fresh) == 0
+        assert tree(out) == tree(fresh)
+        assert read_json(out / "run.json")["snapshot_times"] == [0.0, 0.5, 1.0]
+
+    def test_write_failure_leaves_no_file_of_either_run(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+
+        def solve(snapshots):
+            scenario = tiny_scenario(tmp_path, time={"T": 0.2, "snapshots": snapshots})
+            return main(["solve", "--scenario", str(scenario), "--out", str(out)])
+
+        assert solve([0.05, 0.1, 0.15]) == 0
+        (out / "notes.txt").write_text("mine\n")
+        calls = []
+
+        def fail_third(path, header, columns):
+            calls.append(path.name)
+            if len(calls) == 3:
+                raise OSError(f"disk full writing {path.name}")
+            return write_csv(path, header, columns)
+
+        write_csv = cli.write_csv
+        monkeypatch.setattr(cli, "write_csv", fail_third)
+        assert solve([0.1]) == 2
+        assert calls == ["snapshot_000.csv", "snapshot_001.csv", "snapshot_002.csv"]
+        assert sorted(tree(out)) == ["error.json", "notes.txt"]
+        assert read_json(out / "error.json") == {
+            "error": "OSError", "message": "disk full writing snapshot_002.csv"}
+
+    def test_invariants_after_solve_leaves_only_its_report(self, tmp_path):
+        scenario = str(tiny_scenario(tmp_path))
+        out = tmp_path / "out"
+        assert main(["solve", "--scenario", scenario, "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("mine\n")
+        assert main(["invariants", "--scenario", scenario, "--out", str(out)]) == 0
+        assert sorted(tree(out)) == ["notes.txt", "report.json"]
+
+    def test_directory_with_an_output_name_is_kept(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "run.json").mkdir(parents=True)
+        scenario = str(builtin_scenario_path("s1"))
+        assert main(["scale", "--scenario", scenario, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["run.json", "scale.json"]
+        assert (out / "run.json").is_dir()
 
 
 class TestInvariants:

@@ -29,14 +29,12 @@ from spe.scheme import BoundaryData, SolverConfig, State, Trajectory, run
 def single_state_trajectory(grid, values, eps=1e-2):
     u = Field(grid, values)
     dudx0 = (-3 * values[0] + 4 * values[1] - values[2]) / (2 * grid.dx)
-    s0 = State(t=0.0, u=u, P=cumulative_primitive(u), boundary_gradient=dudx0)
-    s1 = State(t=1.0, u=u, P=cumulative_primitive(u), boundary_gradient=dudx0)
+    s0 = State(t=0.0, u=u, P=cumulative_primitive(u))
+    s1 = State(t=1.0, u=u, P=cumulative_primitive(u))
     config = SolverConfig(eps=eps, grid=grid, final_time=1.0)
     series = np.array([[0.0, 0.0, dudx0], [1.0, 0.0, dudx0]])
     return Trajectory(
         config=config,
-        g=BoundaryData.zero(),
-        initial=s0,
         snapshots=(s0, s1),
         boundary_series=series,
         grad_sq_series=np.zeros(2),
@@ -267,11 +265,9 @@ def synthetic_trajectory(grid, times, rows, g_vals):
     states = []
     for t, vals in zip(times, rows):
         u = Field(grid, vals)
-        states.append(State(t=t, u=u, P=cumulative_primitive(u), boundary_gradient=0.0))
+        states.append(State(t=t, u=u, P=cumulative_primitive(u)))
     return Trajectory(
         config=SolverConfig(eps=1e-2, grid=grid, final_time=times[-1]),
-        g=BoundaryData.zero(),
-        initial=states[0],
         snapshots=tuple(states),
         boundary_series=np.column_stack((times, g_vals, np.zeros(len(times)))),
         grad_sq_series=np.zeros(len(times)),

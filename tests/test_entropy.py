@@ -36,20 +36,16 @@ def synthetic_trajectory(grid, times, profiles, g, eps=0.0, include_source=True)
         snapshot_times=tuple(times),
         include_source=include_source,
     )
-    states = []
+    states, series = [], []
     for t, vals in zip(times, profiles):
         u = Field(grid, vals)
         dudx0 = (-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * grid.dx)
-        states.append(
-            State(t=float(t), u=u, P=cumulative_primitive(u), boundary_gradient=dudx0)
-        )
-    series = np.array([[s.t, g(s.t), s.boundary_gradient] for s in states])
+        states.append(State(t=float(t), u=u, P=cumulative_primitive(u)))
+        series.append([float(t), g(float(t)), dudx0])
     return Trajectory(
         config=config,
-        g=g,
-        initial=states[0],
         snapshots=tuple(states),
-        boundary_series=series,
+        boundary_series=np.array(series),
         grad_sq_series=np.zeros(len(states)),
         step_log=np.diff(np.asarray(times, dtype=float)),
     )
@@ -194,22 +190,6 @@ class TestEntropyResidual:
         with pytest.raises(ValueError, match="trace"):
             entropy_residual(traj, EntropyPair(c=0.0), phi, np.zeros(2))
 
-    def test_reads_g_from_the_boundary_series(self):
-        # g enters through the run's per-step series, never through a second
-        # evaluation: a datum that raises when called changes nothing
-        traj, trace = box_trajectory()
-
-        def unreachable(t):
-            raise AssertionError(f"g evaluated at t={t!r}")
-
-        blind = replace(traj, g=BoundaryData(g=unreachable, sup_bound=0.4))
-        constants = np.linspace(-1.2, 1.2, 7)
-        for phi in make_bump_family((0.0, 1.0), (0.0, 6.0), (3, 3)):
-            np.testing.assert_array_equal(
-                entropy_residuals(blind, constants, phi, trace),
-                entropy_residuals(traj, constants, phi, trace))
-            assert entropy_tolerance(phi, blind) == entropy_tolerance(phi, traj)
-
     def test_linearity_in_test_function(self, s1_traj):
         fam = make_bump_family((0.0, 1.0), (0.0, 10.0), (3, 3))
         phi1, phi2 = fam[4], fam[5]
@@ -295,9 +275,10 @@ class TestEntropyResidual:
         assert tol > 0.0
 
 
-def full_grid_residual(traj, c, phi, trace):
+def full_grid_residual(traj, g, c, phi, trace):
     """The inequality's left-hand side summed over every snapshot-grid point,
-    with the same global trapezoid weights as the support-box quadrature."""
+    with the same global trapezoid weights as the support-box quadrature;
+    the boundary datum ``g`` is evaluated at each snapshot time."""
     grid = traj.config.grid
     times = np.array([s.t for s in traj.snapshots])
     xs = grid.nodes
@@ -319,7 +300,7 @@ def full_grid_residual(traj, c, phi, trace):
     if traj.config.include_source:
         P = np.stack([s.P.values for s in traj.snapshots])
         source = np.sum(W * sgn * P * phi.phi(times, xs))
-    g_vals = np.array([traj.g(t) for t in times])
+    g_vals = np.array([g(t) for t in times])
     boundary = np.sum(
         wt * np.sign(g_vals - c) * (trace**3 - c**3)
         * phi.phi(times, np.array([0.0]))[:, 0]
@@ -345,7 +326,7 @@ def full_grid_tolerance(phi, traj):
 @functools.cache
 def box_trajectory():
     """Signed, sourced, unevenly sampled data with a nonzero boundary datum
-    (n = 300, 17 snapshot times)."""
+    (n = 300, 17 snapshot times): the trajectory, its g and its trace."""
     grid = make_uniform_grid(6.0, 300)
     rng = np.random.default_rng(11)
     times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 15)), [1.0]))
@@ -356,7 +337,7 @@ def box_trajectory():
     ]
     g = BoundaryData(g=lambda t: 0.4 * math.cos(3.0 * t), sup_bound=0.4)
     traj = synthetic_trajectory(grid, times, profiles, g, eps=0.01)
-    return traj, extract_trace(traj)
+    return traj, g, extract_trace(traj)
 
 
 class TestSupportBoxQuadrature:
@@ -372,7 +353,7 @@ class TestSupportBoxQuadrature:
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_full_grid_quadrature(self, c, kt, kx, t_end, x_end):
-        traj, trace = box_trajectory()
+        traj, g, trace = box_trajectory()
         times = np.array([s.t for s in traj.snapshots])
         xs = traj.config.grid.nodes
         # edge tiles start on t = 0 and x = 0; every other tile edge lies
@@ -383,7 +364,7 @@ class TestSupportBoxQuadrature:
         assume(np.min(np.abs(xs[:, None] - x_edges)) > 1e-9)
         family = make_bump_family((0.0, t_end), (0.0, x_end), (kt, kx))
         for phi in family:
-            ref = full_grid_residual(traj, c, phi, trace)
+            ref = full_grid_residual(traj, g, c, phi, trace)
             r = entropy_residual(traj, EntropyPair(c=c), phi, trace)
             assert abs(r - ref) <= 1e-13 * (1.0 + abs(ref))
             assert entropy_tolerance(phi, traj) == full_grid_tolerance(phi, traj)
@@ -401,21 +382,24 @@ class TestSupportBoxQuadrature:
     ):
         # one pass over a bump evaluates every constant; each entry is the
         # full-grid quadrature, and exactly the one-constant residual
-        traj, trace = box_trajectory()
+        traj, g, trace = box_trajectory()
         family = make_bump_family((0.0, t_end), (0.0, x_end), (kt, kx))
         for phi in family:
             rs = entropy_residuals(traj, constants, phi, trace)
             assert rs.shape == (len(constants),)
             for c, r in zip(constants, rs):
-                ref = full_grid_residual(traj, c, phi, trace)
+                ref = full_grid_residual(traj, g, c, phi, trace)
                 assert abs(r - ref) <= 1e-13 * (1.0 + abs(ref))
                 assert entropy_residual(traj, EntropyPair(c=c), phi, trace) == r
 
-    @pytest.mark.parametrize("name", ["s1_traj", "riemann_traj"])
-    def test_tile_edges_on_grid_points(self, request, name):
+    @pytest.mark.parametrize("name, spec", [("s1_traj", "s1_spec"),
+                                            ("riemann_traj", "riemann_spec")],
+                             ids=["s1_traj", "riemann_traj"])
+    def test_tile_edges_on_grid_points(self, request, name, spec):
         # the command line's tiling of [0, T] x [0, L] puts tile edges on
         # snapshot times and nodes, up to rounding
         traj = request.getfixturevalue(name)
+        g = request.getfixturevalue(spec).boundary
         trace = extract_trace(traj)
         family = make_bump_family(
             (0.0, traj.config.final_time), (0.0, traj.config.grid.length), (5, 5)
@@ -423,11 +407,11 @@ class TestSupportBoxQuadrature:
         for phi in family:
             assert entropy_tolerance(phi, traj) == full_grid_tolerance(phi, traj)
             for c in (-0.4, 0.0, 0.7):
-                ref = full_grid_residual(traj, c, phi, trace)
+                ref = full_grid_residual(traj, g, c, phi, trace)
                 r = entropy_residual(traj, EntropyPair(c=c), phi, trace)
                 assert abs(r - ref) <= 1e-13 * (1.0 + abs(ref))
 
-    def test_pulse_boundary_read_at_snapshot_rows(self, s2_traj):
+    def test_pulse_boundary_read_at_snapshot_rows(self, s2_traj, s2_spec):
         # s2 takes many steps between snapshots and its pulse g varies in
         # time, so a snapshot's row in the per-step series is not its index
         traj = s2_traj
@@ -441,7 +425,7 @@ class TestSupportBoxQuadrature:
         for phi in family:
             rs = entropy_residuals(traj, constants, phi, trace)
             for c, r in zip(constants, rs):
-                ref = full_grid_residual(traj, c, phi, trace)
+                ref = full_grid_residual(traj, s2_spec.boundary, c, phi, trace)
                 assert abs(r - ref) <= 1e-13 * (1.0 + abs(ref))
 
 
@@ -451,7 +435,8 @@ LATTICE = np.arange(-4, 5) / 4.0
 
 
 def lattice_trajectory(seed, n, count, include_source):
-    """u and g drawn from LATTICE at ``count`` snapshot times on [0, 1]."""
+    """u and g drawn from LATTICE at ``count`` snapshot times on [0, 1]: the
+    trajectory, its g and its trace."""
     rng = np.random.default_rng(seed)
     grid = make_uniform_grid(3.0, n)
     times = np.linspace(0.0, 1.0, count)
@@ -461,7 +446,7 @@ def lattice_trajectory(seed, n, count, include_source):
     traj = synthetic_trajectory(
         grid, times, profiles, g, eps=0.01, include_source=include_source
     )
-    return traj, extract_trace(traj)
+    return traj, g, extract_trace(traj)
 
 
 class TestSortedSums:
@@ -483,18 +468,18 @@ class TestSortedSums:
     def test_matches_per_constant_loop(
         self, seed, n, count, include_source, constants, counts
     ):
-        traj, trace = lattice_trajectory(seed, n, count, include_source)
+        traj, g, trace = lattice_trajectory(seed, n, count, include_source)
         # below and above every value of u, g and u0
         constants = [-1.5, *constants, 1.5]
         for phi in make_bump_family((0.0, 1.0), (0.0, 3.0), counts):
             rs = entropy_residuals(traj, constants, phi, trace)
             assert rs.shape == (len(constants),)
             for c, r in zip(constants, rs):
-                ref = full_grid_residual(traj, c, phi, trace)
+                ref = full_grid_residual(traj, g, c, phi, trace)
                 assert abs(r - ref) <= 1e-13 * (1.0 + abs(ref))
 
     def test_many_constants_in_memory_linear_in_box_and_constants(self):
-        traj, trace = box_trajectory()
+        traj, g, trace = box_trajectory()
         # the corner tile: interior, boundary and initial terms all count
         phi = make_bump_family((0.0, 1.0), (0.0, 6.0), (2, 2))[0]
         constants = np.linspace(-1.5, 1.5, 20000)
@@ -505,7 +490,7 @@ class TestSortedSums:
         finally:
             tracemalloc.stop()
         for k in range(0, len(constants), 401):
-            ref = full_grid_residual(traj, constants[k], phi, trace)
+            ref = full_grid_residual(traj, g, constants[k], phi, trace)
             assert abs(rs[k] - ref) <= 1e-13 * (1.0 + abs(ref))
         rows, cols = _support_box(phi, traj.times, traj.config.grid.nodes)
         box = traj.times[rows].size * traj.config.grid.nodes[cols].size

@@ -6,10 +6,8 @@ implementations that share nothing with the production (vectorized) path.
 """
 
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-import spe
+from conftest import subprocess_env
 from spe import scheme
 from spe.errors import BlowUpError, DataValidationError
 from spe.fields import Field, lp_norm, make_uniform_grid, mean
@@ -27,7 +25,6 @@ from spe.scheme import (
     LANDING_TOL,
     BoundaryData,
     SolverConfig,
-    State,
     Workspace,
     run,
     stable_dt,
@@ -35,11 +32,9 @@ from spe.scheme import (
 )
 
 
-def make_state(grid, values, t=0.0):
+def make_workspace(grid, values, t=0.0):
     u = Field(grid, values)
-    vals = u.values
-    dudx0 = (-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * grid.dx)
-    return State(t=t, u=u, P=cumulative_primitive(u), boundary_gradient=dudx0)
+    return Workspace(grid, t, u.values, cumulative_primitive(u).values)
 
 
 def reference_step(values, grid, dt, eps, g_new):
@@ -94,19 +89,19 @@ def reference_step(values, grid, dt, eps, g_new):
 
 
 class TestStableDt:
-    def test_degenerate_speed_capped_by_remaining_time(self):
+    def test_degenerate_speed_gives_the_floor_limit(self):
+        # the CFL limit alone, far past final_time: run, not stable_dt,
+        # shortens a step to land on a snapshot time
         grid = make_uniform_grid(1.0, 20)
-        state = make_state(grid, np.zeros(21))
+        ws = make_workspace(grid, np.zeros(21))
         config = SolverConfig(eps=1e-2, grid=grid, final_time=1.0)
-        assert stable_dt(state, config) == pytest.approx(1.0)
-        config_long = SolverConfig(eps=1e-2, grid=grid, final_time=1e11)
-        assert stable_dt(state, config_long) == pytest.approx(0.9 * 0.05 / 1e-12)
+        assert stable_dt(ws, config) == pytest.approx(0.9 * 0.05 / 1e-12)
 
     def test_unit_amplitude_advective_limit(self):
         grid = make_uniform_grid(1.0, 20)
-        state = make_state(grid, np.ones(21))
+        ws = make_workspace(grid, np.ones(21))
         config = SolverConfig(eps=1e-2, grid=grid, final_time=1.0)
-        assert stable_dt(state, config) == pytest.approx(0.9 * 0.05 / 3.0)
+        assert stable_dt(ws, config) == pytest.approx(0.9 * 0.05 / 3.0)
 
 
 class TestSolverConfig:
@@ -150,11 +145,11 @@ class TestStep:
     def test_zero_fixed_point(self):
         grid = make_uniform_grid(10.0, 64)
         config = SolverConfig(eps=1e-2, grid=grid, final_time=1.0)
-        state = make_state(grid, np.zeros(65))
+        ws = make_workspace(grid, np.zeros(65))
         g = BoundaryData.zero()
         for _ in range(5):
-            state = step(state, config, g, dt=0.01)
-            assert np.max(np.abs(state.u.values)) <= 1e-15
+            step(ws, config, g, dt=0.01)
+            assert np.max(np.abs(ws.u)) <= 1e-15
 
     def test_single_step_matches_loop_reference_inviscid(self):
         # frozen Dirichlet datum pushes flux into node 1; the full update
@@ -162,25 +157,25 @@ class TestStep:
         grid = make_uniform_grid(1.0, 20)
         values = np.zeros(21)
         values[0] = 1.0
-        state = make_state(grid, values)
+        ws = make_workspace(grid, values)
         config = SolverConfig(eps=0.0, grid=grid, final_time=1.0)
         g = BoundaryData(g=lambda t: 1.0, sup_bound=1.0)
         dt = 0.005
-        new = step(state, config, g, dt=dt)
+        step(ws, config, g, dt=dt)
         expected = reference_step(values, grid, dt, 0.0, 1.0)
-        assert np.allclose(new.u.values, expected, atol=1e-14)
-        assert new.u.values[1] > 0.0
+        assert np.allclose(ws.u, expected, atol=1e-14)
+        assert ws.u[1] > 0.0
 
     def test_single_step_matches_loop_reference_imex(self):
         grid = make_uniform_grid(10.0, 50)
         u0 = preset_initial("bump-derivative", {"a": 1.0, "x0": 2.0, "sigma": 1.0}, grid)
-        state = make_state(grid, u0.values)
+        ws = make_workspace(grid, u0.values)
         config = SolverConfig(eps=1e-2, grid=grid, final_time=1.0)
         g = BoundaryData.zero()
-        dt = stable_dt(state, config)
-        new = step(state, config, g, dt=dt)
+        dt = stable_dt(ws, config)
+        step(ws, config, g, dt=dt)
         expected = reference_step(u0.values, grid, dt, 1e-2, 0.0)
-        assert np.max(np.abs(new.u.values - expected)) < 1e-12
+        assert np.max(np.abs(ws.u - expected)) < 1e-12
 
     def test_pure_diffusion_against_dense_solve(self):
         # source disabled: one IMEX step on a discrete delta is the upwind
@@ -190,11 +185,11 @@ class TestStep:
         grid = make_uniform_grid(10.0, 200)
         values = np.zeros(201)
         values[100] = 1.0
-        state = make_state(grid, values)
+        ws = make_workspace(grid, values)
         config = SolverConfig(eps=1e-2, grid=grid, final_time=1.0, include_source=False)
         g = BoundaryData.zero()
         dt = 0.01
-        new = step(state, config, g, dt=dt)
+        step(ws, config, g, dt=dt)
 
         ustar = values.copy()
         for i in range(1, grid.node_count):
@@ -206,7 +201,7 @@ class TestStep:
         )
         interior = np.linalg.solve(A, ustar[1:-1])
         dense = np.concatenate([[0.0], interior, [0.0]])
-        assert np.max(np.abs(new.u.values - dense)) < 1e-12
+        assert np.max(np.abs(ws.u - dense)) < 1e-12
         # tridiagonal stage conserves interior mass to the boundary flux
         assert abs(np.trapezoid(interior, dx=grid.dx) - np.trapezoid(ustar[1:-1], dx=grid.dx)) < 1e-12
 
@@ -214,20 +209,20 @@ class TestStep:
         grid = make_uniform_grid(10.0, 100)
         config = SolverConfig(eps=1e-2, grid=grid, final_time=0.5)
         g = preset_boundary("pulse", {"a": 0.5, "tau": 1.0})
-        state = make_state(grid, np.zeros(101))
+        ws = make_workspace(grid, np.zeros(101))
         for _ in range(10):
-            state = step(state, config, g, dt=0.02)
-            assert state.u.values[0] == g(state.t)
-            assert state.u.values[-1] == 0.0
+            step(ws, config, g, dt=0.02)
+            assert ws.u[0] == g(ws.t)
+            assert ws.u[-1] == 0.0
 
     def test_primitive_synchronized(self):
         grid = make_uniform_grid(10.0, 100)
         config = SolverConfig(eps=1e-2, grid=grid, final_time=0.5)
         u0 = preset_initial("bump-derivative", {"a": 1.0, "x0": 2.0, "sigma": 1.0}, grid)
-        state = make_state(grid, u0.values)
-        state = step(state, config, BoundaryData.zero(), dt=stable_dt(state, config))
+        ws = make_workspace(grid, u0.values)
+        step(ws, config, BoundaryData.zero(), dt=stable_dt(ws, config))
         assert np.array_equal(
-            state.P.values, cumulative_primitive(state.u).values
+            ws.P, cumulative_primitive(Field(grid, ws.u)).values
         )
 
 
@@ -389,15 +384,15 @@ class TestRun:
         assert fine_gap <= 0.75 * coarse_gap
 
 
-def zero_mean_state(grid, rng, amplitude, g0):
-    """Random state with u(0) = g0, u(L) = 0 and zero trapezoidal mean."""
+def zero_mean_workspace(grid, rng, amplitude, g0):
+    """Random level with u(0) = g0, u(L) = 0 and zero trapezoidal mean."""
     vals = amplitude * rng.normal(size=grid.node_count)
     vals[0] = g0
     vals[-1] = 0.0
     w = np.sin(np.pi * grid.nodes / grid.length) ** 2  # vanishes at both ends
     vals -= mean(Field(grid, vals)) / mean(Field(grid, w)) * w
     vals[-1] = 0.0
-    return make_state(grid, vals)
+    return make_workspace(grid, vals)
 
 
 class TestKernelProperties:
@@ -413,16 +408,18 @@ class TestKernelProperties:
     def test_one_step_invariants(self, seed, n, eps, amplitude, g0, dt_fraction):
         grid = make_uniform_grid(10.0, n)
         config = SolverConfig(eps=eps, grid=grid, final_time=10.0)
-        state = zero_mean_state(grid, np.random.default_rng(seed), amplitude, g0)
+        ws = zero_mean_workspace(grid, np.random.default_rng(seed), amplitude, g0)
         g = BoundaryData(g=lambda t: g0, sup_bound=abs(g0))
-        dt = dt_fraction * stable_dt(state, config)
-        new = step(state, config, g, dt=dt)
-        assert new.t == state.t + dt
-        assert new.u.values[0] == g0
-        assert new.u.values[-1] == 0.0
+        # a step that ends by final_time, as run would take it
+        dt = dt_fraction * min(stable_dt(ws, config), config.final_time)
+        step(ws, config, g, dt=dt)
+        assert ws.t == dt
+        assert ws.u[0] == g0
+        assert ws.u[-1] == 0.0
+        new = ws.state()
         assert abs(mean(new.u)) <= 1e-13 * lp_norm(new.u, 1)
-        assert np.isfinite(new.u.values).all() and np.isfinite(new.P.values).all()
-        assert np.isfinite(new.boundary_gradient)
+        assert np.isfinite(ws.u).all() and np.isfinite(ws.P).all()
+        assert np.isfinite(ws.boundary_gradient)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -446,10 +443,13 @@ class TestKernelProperties:
         hi = lo + gap
         g0 = lo[0]
         g = BoundaryData(g=lambda t: g0, sup_bound=abs(g0))
-        lo_state, hi_state = make_state(grid, lo), make_state(grid, hi)
-        dt = dt_fraction * min(stable_dt(lo_state, config), stable_dt(hi_state, config))
-        lo_new = step(lo_state, config, g, dt=dt).u.values
-        hi_new = step(hi_state, config, g, dt=dt).u.values
+        lo_ws, hi_ws = make_workspace(grid, lo), make_workspace(grid, hi)
+        # a step that ends by final_time, as run would take it
+        dt = dt_fraction * min(stable_dt(lo_ws, config), stable_dt(hi_ws, config),
+                               config.final_time)
+        step(lo_ws, config, g, dt=dt)
+        step(hi_ws, config, g, dt=dt)
+        lo_new, hi_new = lo_ws.u, hi_ws.u
         assert np.all(lo_new <= hi_new)
         for old, new in ((lo, lo_new), (hi, hi_new)):
             assert min(old.min(), g0, 0.0) <= new.min()
@@ -467,9 +467,9 @@ class TestKernelProperties:
         eps=st.just(0.0) | st.floats(1e-3, 1e-1),
     )
     @settings(max_examples=10, deadline=None)
-    def test_workspace_run_matches_state_step_loop(self, a, pulse, eps):
-        # run() drives the kernel through a Workspace; replaying its time
-        # steps through the State-level step() must give the same levels
+    def test_run_matches_replayed_step_loop(self, a, pulse, eps):
+        # run() is its logged steps and nothing else: replaying them through
+        # a fresh Workspace gives its series and snapshots bit for bit
         grid = make_uniform_grid(10.0, 100)
         config = SolverConfig(eps=eps, grid=grid, final_time=0.1,
                               snapshot_times=(0.03, 0.07))
@@ -477,21 +477,21 @@ class TestKernelProperties:
         g = preset_boundary("pulse", {"a": pulse, "tau": 0.08})
         traj = run(u0, g, config)
 
-        def close(got, want):
-            return np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
-
-        state = traj.initial
-        by_time = {state.t: state}
-        rows = [(state.t, g(state.t), state.boundary_gradient)]
+        ws = make_workspace(grid, u0.values)
+        by_time = {ws.t: (ws.u.copy(), ws.P.copy())}
+        rows = [(ws.t, g(ws.t), ws.boundary_gradient)]
+        grad_sq = [ws.grad_sq]
         for dt in traj.step_log:
-            state = step(state, config, g, dt=float(dt))
-            by_time[state.t] = state
-            rows.append((state.t, g(state.t), state.boundary_gradient))
-        assert close(np.asarray(rows), traj.boundary_series)
+            step(ws, traj.config, g, dt=float(dt))
+            by_time[ws.t] = (ws.u.copy(), ws.P.copy())
+            rows.append((ws.t, g(ws.t), ws.boundary_gradient))
+            grad_sq.append(ws.grad_sq)
+        assert np.array_equal(np.asarray(rows), traj.boundary_series)
+        assert np.array_equal(np.asarray(grad_sq), traj.grad_sq_series)
         for snap in traj.snapshots:
-            ref = by_time[snap.t]
-            assert close(snap.u.values, ref.u.values)
-            assert close(snap.P.values, ref.P.values)
+            u, P = by_time[snap.t]
+            assert np.array_equal(snap.u.values, u)
+            assert np.array_equal(snap.P.values, P)
 
 
 class TestBlowUpAtSource:
@@ -502,18 +502,18 @@ class TestBlowUpAtSource:
         # max u^2 overflows: no time step exists, at t = 0.25 already
         grid = self.grid()
         config = SolverConfig(eps=1e-2, grid=grid, final_time=1.0)
-        state = make_state(grid, 1e200 * np.sin(grid.nodes), t=0.25)
+        ws = make_workspace(grid, 1e200 * np.sin(grid.nodes), t=0.25)
         with pytest.raises(BlowUpError) as excinfo:
-            stable_dt(state, config)
+            stable_dt(ws, config)
         assert excinfo.value.time == 0.25
 
     def test_step_that_does_not_advance_time_raises(self):
         grid = self.grid()
         config = SolverConfig(eps=1e-2, grid=grid, final_time=2.0)
-        state = make_state(grid, np.sin(grid.nodes), t=1.0)
+        ws = make_workspace(grid, np.sin(grid.nodes), t=1.0)
         for dt in (0.0, 1e-20):
             with pytest.raises(BlowUpError) as excinfo:
-                step(state, config, BoundaryData.zero(), dt=dt)
+                step(ws, config, BoundaryData.zero(), dt=dt)
             assert excinfo.value.time == 1.0
 
     def test_overflowing_flux_raises_and_keeps_the_workspace(self):
@@ -521,11 +521,10 @@ class TestBlowUpAtSource:
         # the failed step leaves the workspace's finite level untouched
         grid = self.grid()
         config = SolverConfig(eps=1e-2, grid=grid, final_time=1.0)
-        state = make_state(grid, 1e150 * np.sin(grid.nodes))
-        ws = Workspace(grid, state.t, state.u.values, state.P.values)
+        ws = make_workspace(grid, 1e150 * np.sin(grid.nodes))
         u_before = ws.u.copy()
         with pytest.raises(BlowUpError) as excinfo:
-            step(ws, config, BoundaryData.zero(), dt=stable_dt(state, config))
+            step(ws, config, BoundaryData.zero(), dt=stable_dt(ws, config))
         assert excinfo.value.time > 0.0
         assert ws.t == 0.0
         assert np.array_equal(ws.u, u_before)
@@ -573,10 +572,7 @@ class TestDptsv:
             "print([m for m in sys.modules"
             " if m == 'scipy.linalg' or m.startswith('scipy.linalg.')])\n"
         )
-        # the subprocess imports this spe, wherever it was imported from
-        path = [str(Path(spe.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        out = subprocess.run([sys.executable, "-c", code], env=env,
+        out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 

@@ -1,5 +1,6 @@
-"""Mutation check: each load-bearing detail of the kernel and of the entropy
-quadrature has a test that fails without it.
+"""Mutation check: each load-bearing detail of the kernel, of the entropy
+quadrature and of the command line's output tree has a test that fails
+without it.
 
 Each entry of ``MUTANTS`` names a file, a text in it, the text that replaces
 it and the pytest selection that must fail once it is replaced.  For each
@@ -28,6 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCHEME = "src/spe/scheme.py"
 ENTROPY = "src/spe/entropy.py"
+CLI = "src/spe/cli.py"
 #: (name, file, old text, new text, pytest selection)
 MUTANTS = [
     ("factor-no-mod4-rounding", SCHEME,
@@ -59,6 +61,9 @@ MUTANTS = [
     ("landing-without-tolerance", SCHEME,
      "LANDING_TOL = 1e-12", "LANDING_TOL = 0.0",
      ["tests/test_scheme.py::TestRun"]),
+    ("landing-cap-dropped", SCHEME,
+     "dt = min(stable_dt(ws, config), target - ws.t)", "dt = stable_dt(ws, config)",
+     ["tests/test_scheme.py::TestRun"]),
     ("snapshot-rows-one-late", SCHEME,
      "np.searchsorted(self.boundary_series[:, 0], self.times)",
      'np.searchsorted(self.boundary_series[:, 0], self.times, side="right")',
@@ -83,6 +88,11 @@ MUTANTS = [
     ("worst-uses-argmin", "src/spe/diagnostics.py",
      "np.argmax(np.subtract(measured, bound))", "np.argmin(np.subtract(measured, bound))",
      ["tests/test_diagnostics.py::TestWorstCaseRule"]),
+    ("failure-keeps-partial-tree", CLI,
+     "            _remove_outputs(out)\n            write_json(out / \"error.json\", record)",
+     "            write_json(out / \"error.json\", record)",
+     ["tests/test_cli.py::TestOutputTree::"
+      "test_write_failure_leaves_no_file_of_either_run"]),
 ]
 
 
