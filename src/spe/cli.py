@@ -51,7 +51,7 @@ from .entropy import (
 from .entropy import entropy_residual  # noqa: F401  bench/child.py traces this name
 from .errors import BlowUpError, DataValidationError
 from .fields import Field, lp_norm
-from .scenarios import ScenarioSpec, load_scenario, preset_initial
+from .scenarios import ScenarioSpec, load_scenario, preset_initial, scenario_files
 from .scheme import Trajectory, compat_mismatch, run
 
 #: tolerance scale constants, calibrated on the shipped scenarios
@@ -62,8 +62,7 @@ BALANCE_TOL_FACTOR = 300.0      # times dx * (1 + ||u0||_2^2 + T sup g^4)
 #: is about 150 bytes of entropy.json, so the file stays near 15 MB
 MAX_ENTROPY_ROWS = 10**5
 
-#: the files spe writes into an output directory: ``main`` removes them
-#: there before a command runs and again before it records a failure
+#: the files spe writes into --out, which ``main`` removes before a command
 _OUTPUT_FILE = re.compile(r"snapshot_[0-9]{3,}\.csv|boundary\.csv"
                           r"|(run|report|entropy|stability|sweep|scale|error)\.json")
 
@@ -81,12 +80,14 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _remove_outputs(out: Path) -> None:
-    """Remove the ``_OUTPUT_FILE`` files from ``out``, if it exists, and no
-    other file (a directory of such a name is not one)."""
+def _remove_outputs(out: Path, scenario) -> None:
+    """Remove the ``_OUTPUT_FILE`` files in ``out``, if it exists, but no
+    directory and no input of ``scenario`` (an earlier run's boundary.csv)."""
     if out.is_dir():
+        inputs = {file.resolve() for file in scenario_files(scenario)}
         for path in out.iterdir():
-            if _OUTPUT_FILE.fullmatch(path.name) and not path.is_dir():
+            if (_OUTPUT_FILE.fullmatch(path.name) and not path.is_dir()
+                    and path.resolve() not in inputs):
                 path.unlink()
 
 
@@ -347,12 +348,12 @@ def _named_out(argv) -> Path:
 
 
 def main(argv=None) -> int:
-    out = None
+    args = None
     try:
         args = build_parser().parse_args(argv)
         out = Path(args.out) if args.out else Path("spe-out") / args.subcommand
         # no earlier command's file is left to be read as this one's
-        _remove_outputs(out)
+        _remove_outputs(out, args.scenario)
         spec = load_scenario(args.scenario)
         if not spec.conforming and args.subcommand != "entropy-check":
             raise DataValidationError(
@@ -367,15 +368,16 @@ def main(argv=None) -> int:
                 raise DataValidationError([mismatch])
         return _COMMANDS[args.subcommand](spec, out, args)
     except (BlowUpError, ValueError, OSError, MemoryError) as exc:
-        if out is None:  # the command line itself is malformed
-            out = _named_out(argv)
         record = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, DataValidationError):
             record["violations"] = exc.violations
         if isinstance(exc, BlowUpError):
             record["time"] = exc.time
         try:
-            _remove_outputs(out)
+            if args is None:  # malformed: remove nothing, so a typo keeps the last run
+                out = _named_out(argv)
+            else:
+                _remove_outputs(out, args.scenario)
             write_json(out / "error.json", record)
         except OSError:
             pass

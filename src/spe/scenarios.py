@@ -29,6 +29,7 @@ __all__ = [
     "preset_boundary",
     "parse_scenario",
     "load_scenario",
+    "scenario_files",
     "builtin_scenario_path",
 ]
 
@@ -327,6 +328,22 @@ def load_scenario(path) -> ScenarioSpec:
             raise DataValidationError(
                 [f"scenario {path}: JSON nested too deeply to read"]) from None
     return parse_scenario(doc, source=str(path))
+
+
+def scenario_files(path) -> list:
+    """The existing files that loading the scenario at ``path`` reads, as
+    far as it can be read: the scenario itself, and the data file each of
+    'initial' and 'boundary' names, as ``parse_scenario`` opens them."""
+    files = [Path(path)]
+    try:
+        doc = json.loads(files[0].read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError):
+        doc = None
+    for block in ("initial", "boundary"):
+        holder = doc.get(block) if isinstance(doc, dict) else None
+        if isinstance(holder, dict) and isinstance(holder.get("file"), str):
+            files.append(Path(holder["file"]))
+    return [file for file in files if file.is_file()]
 
 
 def _load_field_csv(path: Path, grid: Grid) -> Field:

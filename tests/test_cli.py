@@ -237,6 +237,62 @@ class TestOutputTree:
         assert sorted(p.name for p in out.iterdir()) == ["run.json", "scale.json"]
         assert (out / "run.json").is_dir()
 
+    @pytest.mark.parametrize("subcommand", sorted(cli._COMMANDS))
+    def test_every_written_file_is_an_output_name(self, tmp_path, subcommand):
+        # the removal pattern covers each file that any subcommand writes
+        scenario = tiny_scenario(tmp_path, physical={"k": 1.0, "c2": 1.0})
+        out = tmp_path / "out"
+        main([subcommand, "--scenario", str(scenario), "--out", str(out)])
+        names = sorted(tree(out))
+        assert names and "error.json" not in names
+        assert all(cli._OUTPUT_FILE.fullmatch(name) for name in names), names
+
+    def test_inputs_with_output_names_are_kept(self, tmp_path, monkeypatch):
+        # a scenario or data file in --out is read, not removed, whatever
+        # its name: here the scenario is run.json and its boundary file an
+        # earlier run's boundary.csv, both named relative to --out .
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--scenario", str(tiny_scenario(tmp_path)),
+                     "--out", "."]) == 0
+        boundary = (tmp_path / "boundary.csv").read_bytes()
+        replay = {**read_json(tiny_scenario(tmp_path)), "boundary": {"file": "boundary.csv"}}
+        (tmp_path / "scenario.json").unlink()
+        (tmp_path / "run.json").write_text(json.dumps(replay))
+        kept = tree(tmp_path)["run.json"]
+        assert main(["invariants", "--scenario", "run.json", "--out", "."]) == 0
+        assert sorted(tree(tmp_path)) == ["boundary.csv", "report.json", "run.json"]
+        assert tree(tmp_path)["boundary.csv"] == boundary
+        assert tree(tmp_path)["run.json"] == kept
+
+    def test_failed_command_keeps_its_inputs(self, tmp_path):
+        # the failure branch's removal keeps the inputs too: a scenario
+        # named report.json that names out/boundary.csv and fails to load
+        out = tmp_path / "out"
+        assert main(["solve", "--scenario", str(tiny_scenario(tmp_path)),
+                     "--out", str(out)]) == 0
+        boundary = (out / "boundary.csv").read_bytes()
+        scenario = out / "report.json"
+        scenario.write_text(json.dumps({
+            **read_json(tiny_scenario(tmp_path)), "epsilon": "BAD",
+            "boundary": {"file": str(out / "boundary.csv")}}))
+        kept = scenario.read_bytes()
+        assert main(["solve", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert sorted(tree(out)) == ["boundary.csv", "error.json", "report.json"]
+        assert read_json(out / "error.json")["error"] == "DataValidationError"
+        assert tree(out)["boundary.csv"] == boundary
+        assert tree(out)["report.json"] == kept
+
+    def test_malformed_command_line_removes_nothing(self, tmp_path):
+        # a command line that does not parse names no inputs that can be
+        # trusted: its error.json goes beside the earlier run, which stays
+        out = tmp_path / "out"
+        assert main(["solve", "--scenario", str(tiny_scenario(tmp_path)),
+                     "--out", str(out)]) == 0
+        earlier = tree(out)
+        assert main(["solve", "--out", str(out), "--delta", "nan"]) == 2
+        after = tree(out)
+        assert after.pop("error.json") and after == earlier
+
 
 class TestInvariants:
     def test_zero_scenario_all_snapshots_zero(self, tmp_path):

@@ -89,8 +89,7 @@ MUTANTS = [
      "np.argmax(np.subtract(measured, bound))", "np.argmin(np.subtract(measured, bound))",
      ["tests/test_diagnostics.py::TestWorstCaseRule"]),
     ("failure-keeps-partial-tree", CLI,
-     "            _remove_outputs(out)\n            write_json(out / \"error.json\", record)",
-     "            write_json(out / \"error.json\", record)",
+     "            else:\n                _remove_outputs(out, args.scenario)\n", "",
      ["tests/test_cli.py::TestOutputTree::"
       "test_write_failure_leaves_no_file_of_either_run"]),
 ]
