@@ -62,11 +62,6 @@ BALANCE_TOL_FACTOR = 300.0      # times dx * (1 + ||u0||_2^2 + T sup g^4)
 #: is about 150 bytes of entropy.json, so the file stays near 15 MB
 MAX_ENTROPY_ROWS = 10**5
 
-#: the files spe writes into --out, which ``main`` removes before a command
-_OUTPUT_FILE = re.compile(r"snapshot_[0-9]{3,}\.csv|boundary\.csv"
-                          r"|(run|report|entropy|stability|sweep|scale|error)\.json")
-
-
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -80,15 +75,19 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _remove_outputs(out: Path, scenario) -> None:
-    """Remove the ``_OUTPUT_FILE`` files in ``out``, if it exists, but no
-    directory and no input of ``scenario`` (an earlier run's boundary.csv)."""
-    if out.is_dir():
-        inputs = {file.resolve() for file in scenario_files(scenario)}
-        for path in out.iterdir():
-            if (_OUTPUT_FILE.fullmatch(path.name) and not path.is_dir()
-                    and path.resolve() not in inputs):
-                path.unlink()
+def _files(out: Path, pattern: re.Pattern) -> list:
+    """The files in ``out``, if it exists, whose names fullmatch ``pattern``
+    (no directory), sorted."""
+    return sorted(path for path in (out.iterdir() if out.is_dir() else ())
+                  if pattern.fullmatch(path.name) and not path.is_dir())
+
+
+def _remove_outputs(out: Path, inputs: set) -> None:
+    """Remove the ``_OUTPUT_FILE`` files in ``out``, but none whose real path
+    is in ``inputs`` (an earlier run's boundary.csv that the scenario reads)."""
+    for path in _files(out, _OUTPUT_FILE):
+        if os.path.realpath(path) not in inputs:
+            path.unlink()
 
 
 def write_json(path: Path, doc) -> None:
@@ -115,7 +114,7 @@ def _run_scenario(spec: ScenarioSpec) -> Trajectory:
                require_zero_mean=spec.conforming)
 
 
-def _cmd_solve(spec: ScenarioSpec, out: Path, args) -> int:
+def _cmd_solve(spec: ScenarioSpec, out: Path, args) -> tuple:
     traj = _run_scenario(spec)
     # x is the same column in every snapshot and t is constant in one, so
     # each is formatted once
@@ -126,16 +125,12 @@ def _cmd_solve(spec: ScenarioSpec, out: Path, args) -> int:
         write_csv(out / f"snapshot_{k:03d}.csv", ["t", "x", "u", "P"], columns)
     write_csv(out / "boundary.csv", ["t", "g", "dudx0"],
               [_float_text(col) for col in traj.boundary_series.T])
-    write_json(
-        out / "run.json",
-        {
-            "scenario": spec.name,
-            "verdict": "completed",
-            "steps": int(len(traj.step_log)),
-            "snapshot_times": traj.times.tolist(),
-        },
-    )
-    return 0
+    return {
+        "scenario": spec.name,
+        "verdict": "completed",
+        "steps": int(len(traj.step_log)),
+        "snapshot_times": traj.times.tolist(),
+    }, True
 
 
 def _invariant_records(traj: Trajectory) -> tuple:
@@ -151,14 +146,12 @@ def _invariant_records(traj: Trajectory) -> tuple:
             energy_l4_p2_check(traj), p_infty_check(traj), linfty_check(traj))
 
 
-def _cmd_invariants(spec: ScenarioSpec, out: Path, args) -> int:
-    traj = _run_scenario(spec)
-    records = _invariant_records(traj)
-    write_json(out / "report.json", [r.as_dict() for r in records])
-    return 0 if all(r.verdict == "pass" for r in records) else 1
+def _cmd_invariants(spec: ScenarioSpec, out: Path, args) -> tuple:
+    records = _invariant_records(_run_scenario(spec))
+    return [r.as_dict() for r in records], all(r.verdict == "pass" for r in records)
 
 
-def _cmd_entropy(spec: ScenarioSpec, out: Path, args) -> int:
+def _cmd_entropy(spec: ScenarioSpec, out: Path, args) -> tuple:
     table_rows = args.constants * math.prod(args.bumps)
     if table_rows > MAX_ENTROPY_ROWS:
         raise ValueError(
@@ -174,30 +167,14 @@ def _cmd_entropy(spec: ScenarioSpec, out: Path, args) -> int:
     )
     tolerances = [entropy_tolerance(phi, traj) for phi in bumps]
     residuals = [entropy_residuals(traj, constants, phi, trace) for phi in bumps]
-    rows = []
-    all_pass = True
-    for ci, c in enumerate(constants):
-        for bi, tol in enumerate(tolerances):
-            r = float(residuals[bi][ci])
-            ok = r >= -tol
-            all_pass = all_pass and ok
-            rows.append(
-                {
-                    "c": float(c),
-                    "bump": bi,
-                    "residual": r,
-                    "tolerance": tol,
-                    "verdict": "pass" if ok else "fail",
-                }
-            )
-    write_json(
-        out / "entropy.json",
-        {"scenario": spec.name, "tag": "kruzhkov-inequality", "rows": rows},
-    )
-    return 0 if all_pass else 1
+    rows = [{"c": float(c), "bump": bi, "residual": float(residuals[bi][ci]),
+             "tolerance": tol, "verdict": "pass" if residuals[bi][ci] >= -tol else "fail"}
+            for ci, c in enumerate(constants) for bi, tol in enumerate(tolerances)]
+    doc = {"scenario": spec.name, "tag": "kruzhkov-inequality", "rows": rows}
+    return doc, all(row["verdict"] == "pass" for row in rows)
 
 
-def _cmd_stability(spec: ScenarioSpec, out: Path, args) -> int:
+def _cmd_stability(spec: ScenarioSpec, out: Path, args) -> tuple:
     L = spec.grid.length
     if args.stability_R > L:  # checked before the two runs it would waste
         raise ValueError(f"argument --stability-R: the window must be at most "
@@ -214,43 +191,51 @@ def _cmd_stability(spec: ScenarioSpec, out: Path, args) -> int:
     if C is None:
         C = default_stability_constant(base, pert)
     rec = stability_compare(base, pert, args.stability_R, C)
-    write_json(out / "stability.json", rec.as_dict())
-    return 0 if rec.verdict == "pass" else 1
+    return rec.as_dict(), rec.verdict == "pass"
 
 
-def _cmd_sweep(spec: ScenarioSpec, out: Path, args) -> int:
+def _cmd_sweep(spec: ScenarioSpec, out: Path, args) -> tuple:
     rec = epsilon_sweep(spec.initial, spec.boundary, spec.config, args.epsilons)
-    write_json(out / "sweep.json", rec.as_dict())
-    return 0 if rec.verdict == "pass" else 1
+    return rec.as_dict(), rec.verdict == "pass"
 
 
-def _cmd_scale(spec: ScenarioSpec, out: Path, args) -> int:
+def _cmd_scale(spec: ScenarioSpec, out: Path, args) -> tuple:
     if spec.physical is None:
         raise DataValidationError(["scale needs a 'physical' block in the scenario"])
     sc = scaling_constants(*spec.physical)
-    write_json(
-        out / "scale.json",
-        {
-            "tag": "physical-scaling-map",
-            "k": sc.k,
-            "c2": sc.c2,
-            "D1": sc.D1,
-            "D2": sc.D2,
-            "identity_product": 2.0 * sc.c2**2 * sc.D1 * sc.D2,
-            "identity_square": sc.c2**2 * sc.k**2 * sc.D2**2,
-        },
-    )
-    return 0
+    return {
+        "tag": "physical-scaling-map",
+        "k": sc.k,
+        "c2": sc.c2,
+        "D1": sc.D1,
+        "D2": sc.D2,
+        "identity_product": 2.0 * sc.c2**2 * sc.D1 * sc.D2,
+        "identity_square": sc.c2**2 * sc.k**2 * sc.D2**2,
+    }, True
 
 
+#: each subcommand: the function that runs it and returns (document, passed),
+#: the JSON file ``main`` writes that document to last, and the patterns of
+#: the files the function writes into --out itself
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "invariants": _cmd_invariants,
-    "entropy-check": _cmd_entropy,
-    "stability": _cmd_stability,
-    "sweep": _cmd_sweep,
-    "scale": _cmd_scale,
+    "solve": (_cmd_solve, "run.json", r"snapshot_[0-9]{3,}\.csv", r"boundary\.csv"),
+    "invariants": (_cmd_invariants, "report.json"),
+    "entropy-check": (_cmd_entropy, "entropy.json"),
+    "stability": (_cmd_stability, "stability.json"),
+    "sweep": (_cmd_sweep, "sweep.json"),
+    "scale": (_cmd_scale, "scale.json"),
 }
+
+
+def _written(subcommand: str) -> str:
+    """The pattern of the file names ``subcommand`` may write into --out:
+    its own files, its document and error.json."""
+    _, document, *files = _COMMANDS[subcommand]
+    return "|".join([*files, re.escape(document), r"error\.json"])
+
+
+#: the files spe writes into --out, which ``main`` removes before a command
+_OUTPUT_FILE = re.compile("|".join(map(_written, _COMMANDS)))
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -348,12 +333,18 @@ def _named_out(argv) -> Path:
 
 
 def main(argv=None) -> int:
-    args = None
+    args = inputs = None
     try:
         args = build_parser().parse_args(argv)
         out = Path(args.out) if args.out else Path("spe-out") / args.subcommand
+        inputs = {os.path.realpath(file) for file in scenario_files(args.scenario)}
+        clash = [path for path in _files(out, re.compile(_written(args.subcommand)))
+                 if os.path.realpath(path) in inputs]
+        if clash:  # refused before anything is removed or written: inputs stay
+            raise DataValidationError([f"{path}: an input of the scenario, which "
+                                       f"{args.subcommand} would write over" for path in clash])
         # no earlier command's file is left to be read as this one's
-        _remove_outputs(out, args.scenario)
+        _remove_outputs(out, inputs)
         spec = load_scenario(args.scenario)
         if not spec.conforming and args.subcommand != "entropy-check":
             raise DataValidationError(
@@ -366,7 +357,10 @@ def main(argv=None) -> int:
             mismatch = compat_mismatch(spec.initial, spec.boundary(0.0))
             if mismatch:
                 raise DataValidationError([mismatch])
-        return _COMMANDS[args.subcommand](spec, out, args)
+        command, document = _COMMANDS[args.subcommand][:2]
+        doc, passed = command(spec, out, args)
+        write_json(out / document, doc)
+        return 0 if passed else 1
     except (BlowUpError, ValueError, OSError, MemoryError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, DataValidationError):
@@ -375,10 +369,11 @@ def main(argv=None) -> int:
             record["time"] = exc.time
         try:
             if args is None:  # malformed: remove nothing, so a typo keeps the last run
-                out = _named_out(argv)
-            else:
-                _remove_outputs(out, args.scenario)
-            write_json(out / "error.json", record)
+                write_json(_named_out(argv) / "error.json", record)
+            elif inputs is not None:  # else they are unknown: keep every file
+                _remove_outputs(out, inputs)
+                if os.path.realpath(out / "error.json") not in inputs:
+                    write_json(out / "error.json", record)
         except OSError:
             pass
         print(f"error: {exc}", file=sys.stderr)

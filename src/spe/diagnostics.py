@@ -156,6 +156,8 @@ def p_infty_check(traj: Trajectory, tol: float = 1e-10) -> CheckRecord:
 
     Holds exactly for the running-trapezoid primitive (midpoint sums are
     dominated by the trapezoid norms), so the tolerance only covers roundoff.
+    It is an identity of the discretization: it holds for any finite u, so a
+    pass is no evidence that the solver is right.
     """
     lhs = [lp_norm(s.P, math.inf) ** 2 for s in traj.snapshots]
     rhs = [2.0 * lp_norm(s.P, 2) * lp_norm(s.u, 2) for s in traj.snapshots]
@@ -177,7 +179,7 @@ def linfty_check(traj: Trajectory, tol: float = 1e-8) -> CheckRecord:
     lhs = [lp_norm(s.u, math.inf) for s in traj.snapshots]
     rhs = base + traj.times * p_running
     return CheckRecord.at_worst("u-sup-barrier", "sup-norm-comparison-barrier",
-                                lhs, rhs, tol)
+                                lhs, rhs, tol, traj.times)
 
 
 def default_stability_constant(traj_u: Trajectory, traj_v: Trajectory) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -333,7 +334,8 @@ def load_scenario(path) -> ScenarioSpec:
 def scenario_files(path) -> list:
     """The existing files that loading the scenario at ``path`` reads, as
     far as it can be read: the scenario itself, and the data file each of
-    'initial' and 'boundary' names, as ``parse_scenario`` opens them."""
+    'initial' and 'boundary' names, as ``parse_scenario`` opens them.  A
+    path whose status cannot be read is left out, so this never raises."""
     files = [Path(path)]
     try:
         doc = json.loads(files[0].read_text(encoding="utf-8"))
@@ -343,7 +345,7 @@ def scenario_files(path) -> list:
         holder = doc.get(block) if isinstance(doc, dict) else None
         if isinstance(holder, dict) and isinstance(holder.get("file"), str):
             files.append(Path(holder["file"]))
-    return [file for file in files if file.is_file()]
+    return [file for file in files if os.path.isfile(file)]
 
 
 def _load_field_csv(path: Path, grid: Grid) -> Field:

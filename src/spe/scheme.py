@@ -286,6 +286,14 @@ def _factor_diffusion(d: np.ndarray, e: np.ndarray, r: float) -> int:
     row goes through the same unrolled copy as in the full factorization,
     and five equal pivots show each copy at its fixed point.  The result is
     the full factorization bit for bit.
+
+    Why five and not two: the four copies compute the same map only in
+    exact arithmetic.  A build may round them differently, for example by
+    contracting only some of them to fused multiply-adds, and then each copy
+    has its own fixed point.  One repeated pivot shows only one copy at its
+    fixed point; five consecutive pivots pass through all four.  No offline
+    test can vary the build, so a mutant that compares one pivot survives
+    the tests on any one build.
     """
     m = d.shape[0]
     k = FACTOR_PREFIX

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 import shlex
 import tempfile
 import warnings
@@ -237,14 +238,26 @@ class TestOutputTree:
         assert sorted(p.name for p in out.iterdir()) == ["run.json", "scale.json"]
         assert (out / "run.json").is_dir()
 
+    def test_symlink_loop_with_an_output_name_is_removed(self, tmp_path):
+        # a link that resolves nowhere is no input, and is removed like a file
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "run.json").symlink_to("run.json")
+        scenario = str(builtin_scenario_path("s1"))
+        assert main(["scale", "--scenario", scenario, "--out", str(out)]) == 0
+        assert sorted(tree(out)) == ["scale.json"]
+
     @pytest.mark.parametrize("subcommand", sorted(cli._COMMANDS))
     def test_every_written_file_is_an_output_name(self, tmp_path, subcommand):
-        # the removal pattern covers each file that any subcommand writes
+        # each file a subcommand writes is declared in its own _COMMANDS
+        # entry, which the removal pattern includes
         scenario = tiny_scenario(tmp_path, physical={"k": 1.0, "c2": 1.0})
         out = tmp_path / "out"
         main([subcommand, "--scenario", str(scenario), "--out", str(out)])
         names = sorted(tree(out))
         assert names and "error.json" not in names
+        assert cli._COMMANDS[subcommand][1] in names
+        assert all(re.fullmatch(cli._written(subcommand), name) for name in names), names
         assert all(cli._OUTPUT_FILE.fullmatch(name) for name in names), names
 
     def test_inputs_with_output_names_are_kept(self, tmp_path, monkeypatch):
@@ -281,6 +294,59 @@ class TestOutputTree:
         assert read_json(out / "error.json")["error"] == "DataValidationError"
         assert tree(out)["boundary.csv"] == boundary
         assert tree(out)["report.json"] == kept
+
+    @pytest.mark.parametrize("subcommand, name", [
+        ("invariants", "report.json"), ("solve", "run.json"), ("scale", "scale.json")])
+    def test_scenario_with_an_output_name_is_refused(self, tmp_path, subcommand, name):
+        # the command would replace its own scenario: it exits 2 before
+        # anything runs, and the error names the input, which is kept
+        out = tmp_path / "out"
+        assert main(["solve", "--scenario", str(tiny_scenario(tmp_path)),
+                     "--out", str(out)]) == 0
+        scenario = out / name
+        scenario.write_text(json.dumps({**read_json(tiny_scenario(tmp_path)),
+                                        "physical": {"k": 1.0, "c2": 1.0}}))
+        kept = scenario.read_bytes()
+        for _ in range(2):
+            assert main([subcommand, "--scenario", str(scenario), "--out", str(out)]) == 2
+            assert sorted(tree(out)) == ["error.json", name]
+            assert scenario.read_bytes() == kept
+            err = read_json(out / "error.json")
+            assert err["error"] == "DataValidationError"
+            assert err["violations"] == [
+                f"{out / name}: an input of the scenario, which {subcommand} would write over"]
+
+    def test_boundary_file_with_an_output_name_is_refused(self, tmp_path, monkeypatch):
+        # solve on a scenario that replays out/boundary.csv would write over
+        # it; named relative to the working directory as well as to --out
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        assert main(["solve", "--scenario", str(tiny_scenario(tmp_path)),
+                     "--out", "out"]) == 0
+        boundary = (out / "boundary.csv").read_bytes()
+        replay = tiny_scenario(tmp_path, boundary={"file": "out/boundary.csv"})
+        assert main(["solve", "--scenario", str(replay), "--out", str(out)]) == 2
+        assert sorted(tree(out)) == ["boundary.csv", "error.json"]
+        assert (out / "boundary.csv").read_bytes() == boundary
+        assert read_json(out / "error.json")["violations"] == [
+            f"{out / 'boundary.csv'}: an input of the scenario, which solve would write over"]
+        # another command writes no boundary.csv, so it runs on the replay
+        assert main(["invariants", "--scenario", str(replay), "--out", "out"]) == 0
+        assert sorted(tree(out)) == ["boundary.csv", "report.json"]
+        assert (out / "boundary.csv").read_bytes() == boundary
+
+    def test_scenario_named_error_json_is_kept(self, tmp_path, capsys):
+        # error.json is every command's output, so a scenario of that name
+        # in --out is refused, and the error goes to stderr only
+        out = tmp_path / "out"
+        out.mkdir()
+        scenario = out / "error.json"
+        scenario.write_text(tiny_scenario(tmp_path).read_text())
+        kept = scenario.read_bytes()
+        capsys.readouterr()
+        assert main(["solve", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert tree(out) == {"error.json": kept}
+        assert f"{scenario}: an input of the scenario" in capsys.readouterr().err
 
     def test_malformed_command_line_removes_nothing(self, tmp_path):
         # a command line that does not parse names no inputs that can be

@@ -104,6 +104,24 @@ class TestPInftyCheck:
             assert rec.verdict == "pass"
             assert rec.residual <= 1e-10
 
+    @given(n=st.integers(2, 400), kind=st.sampled_from(["gaussian", "sparse", "spike"]),
+           seed=st.integers(0, 2**32 - 1), decade=st.integers(-100, 100),
+           length=st.sampled_from([0.1, 1.0, 10.0, 100.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_holds_for_any_finite_data(self, n, kind, seed, decade, length):
+        # an identity of the running trapezoid, whatever u is: the check
+        # passes with its own tolerance on data no solver produced
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(n + 1)
+        if kind == "sparse":
+            values *= rng.random(n + 1) < 0.1
+        elif kind == "spike":
+            values = np.zeros(n + 1)
+            values[rng.integers(n + 1)] = rng.choice([-1.0, 1.0])
+        grid = make_uniform_grid(length, n)
+        rec = p_infty_check(single_state_trajectory(grid, values * 10.0**decade))
+        assert rec.verdict == "pass" and rec.measured <= rec.bound, rec.as_dict()
+
 
 class TestEnergyCheck:
     def test_zero_trajectory_equality(self):
@@ -337,9 +355,9 @@ class TestWorstCaseRule:
         rows, p_running = [], -math.inf
         for s in snaps:
             p_running = max(p_running, lp_norm(s.P, math.inf))
-            rows.append((lp_norm(s.u, math.inf), base + s.t * p_running))
+            rows.append((lp_norm(s.u, math.inf), base + s.t * p_running, s.t))
         rec = linfty_check(traj)
-        assert (rec.measured, rec.bound) == loop_worst(rows)
+        assert (rec.measured, rec.bound, rec.detail["worst_time"]) == loop_worst(rows)
 
         grid = traj.config.grid
         diff0 = Field(grid, traj.initial.u.values - other.initial.u.values)
