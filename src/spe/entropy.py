@@ -28,7 +28,6 @@ from .fields import _trapezoid_weights
 from .scheme import Trajectory
 
 __all__ = [
-    "EntropyPair",
     "BumpProfile",
     "TestFunction",
     "make_bump_family",
@@ -37,14 +36,6 @@ __all__ = [
     "entropy_residuals",
     "entropy_tolerance",
 ]
-
-
-@dataclass(frozen=True)
-class EntropyPair:
-    """Kruzhkov entropy/flux pair for the constant c: eta(u) = |u - c| and
-    q(u) = sgn(u - c)(u^3 - c^3)."""
-
-    c: float
 
 
 @dataclass(frozen=True)
@@ -288,10 +279,10 @@ def entropy_residuals(
 
 def entropy_residual(
     traj: Trajectory,
-    pair: EntropyPair,
+    c: float,
     phi: TestFunction,
     trace: np.ndarray,
 ) -> float:
-    """The inequality's left-hand side for one entropy pair: the one-constant
-    case of ``entropy_residuals``."""
-    return float(entropy_residuals(traj, [pair.c], phi, trace)[0])
+    """The inequality's left-hand side for the Kruzhkov constant ``c``: the
+    one-constant case of ``entropy_residuals``."""
+    return float(entropy_residuals(traj, [c], phi, trace)[0])

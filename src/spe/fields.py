@@ -1,8 +1,10 @@
-"""Uniform grids, sampled fields, and the trapezoidal norms used by every estimate.
+"""Uniform grids, sampled fields, the trapezoidal norms used by every
+estimate and the running primitive of the solution.
 
 All integrals in this package are composite trapezoid sums on the nodes of a
 uniform grid over [0, L].  The half-line is truncated at L; fields are treated
-as zero beyond L.
+as zero beyond L.  The source term of the integro-differential formulation is
+the primitive P(t,x) = int_0^x u(t,y) dy, pinned by P(t,0) = 0.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "lp_norm",
     "windowed_l1",
     "mean",
+    "cumulative_primitive",
 ]
 
 
@@ -111,6 +114,17 @@ def _running_trapezoid(
     out[1:] *= 0.5 * dx
     np.cumsum(out[1:], out=out[1:])
     return out
+
+
+def cumulative_primitive(u: Field) -> Field:
+    """Running trapezoidal integral of u from 0; the result vanishes at x=0.
+
+    The discrete fundamental theorem holds exactly:
+    (P[i+1] - P[i]) / dx == (u[i] + u[i+1]) / 2.
+    By telescoping, P(L) is the trapezoidal integral of u over [0, L] up to
+    summation order.
+    """
+    return Field(u.grid, _running_trapezoid(u.values, u.grid.dx))
 
 
 def lp_norm(f: Field, p) -> float:

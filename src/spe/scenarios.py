@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataValidationError
-from .fields import (Field, Grid, _running_trapezoid, _trapz, lp_norm,
-                     make_uniform_grid, mean)
-from .nonlocal_source import cumulative_primitive
+from .fields import (Field, Grid, _running_trapezoid, _trapz, cumulative_primitive,
+                     lp_norm, make_uniform_grid, mean)
 from .scheme import BoundaryData, SolverConfig, zero_mean_tolerance
 
 __all__ = [

@@ -57,13 +57,13 @@ import importlib.util
 import math
 import os
 import warnings
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import BlowUpError, DataValidationError
-from .fields import Field, Grid, _running_trapezoid, _trapz, lp_norm, mean
-from .nonlocal_source import cumulative_primitive
+from .fields import (Field, Grid, _running_trapezoid, _trapz, cumulative_primitive,
+                     lp_norm, mean)
 
 __all__ = [
     "BoundaryData",
@@ -147,7 +147,11 @@ class BoundaryData:
 @dataclass(frozen=True)
 class SolverConfig:
     """Discretization parameters for one run.  ``eps`` decides the scheme; a
-    ``scheme`` given too is only checked against it, not stored."""
+    ``scheme`` given too is only checked against it, not stored.
+
+    ``snapshot_times`` is stored as the run's schedule: sorted, without
+    repeats, and with 0 and ``final_time`` included; a time within
+    ``LANDING_TOL`` beyond ``final_time`` is ``final_time``."""
 
     eps: float
     grid: Grid
@@ -163,16 +167,20 @@ class SolverConfig:
         if scheme not in (None, "explicit" if self.eps == 0.0 else "imex"):
             raise ValueError(f"scheme {scheme!r} does not fit eps = {self.eps:g}: "
                              "eps = 0 is 'explicit' and eps > 0 is 'imex'")
+        dx = self.grid.dx
+        if self.eps > 0.0 and dx * dx == 0.0:
+            raise ValueError(f"grid cell dx = L/n = {dx:.6g} is too small for eps > 0: "
+                             "dx * dx underflows to 0 in the diffusion step")
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ValueError("cfl_safety must lie in (0, 1]")
         if not (self.final_time > 0.0 and np.isfinite(self.final_time)):
             raise ValueError("final_time must be positive and finite")
+        T = float(self.final_time)
         snaps = tuple(float(s) for s in self.snapshot_times)
-        if not all(0.0 <= s <= self.final_time + LANDING_TOL for s in snaps):
+        if not all(0.0 <= s <= T + LANDING_TOL for s in snaps):
             raise ValueError("snapshot times must lie in [0, final_time]")
-        # one within LANDING_TOL beyond final_time is final_time
         object.__setattr__(self, "snapshot_times",
-                           tuple(min(s, self.final_time) for s in snaps))
+                           tuple(sorted(set((0.0, T, *(min(s, T) for s in snaps))))))
 
 
 @dataclass(frozen=True)
@@ -466,9 +474,10 @@ def run(
     (``compat_mismatch``) is surfaced as a warning; the command line's
     ``--strict-compat`` rejects it before ``run`` is called.
 
-    Steps are shortened to land exactly on each requested snapshot time, so
-    snapshots carry no interpolation error.  Snapshots always include t=0 and
-    final_time, and each later one is reached by a step of its own, so no
+    Steps are shortened to land exactly on each time of the schedule
+    ``config.snapshot_times`` (which ``SolverConfig`` keeps sorted, without
+    repeats and from 0 to final_time), so snapshots carry no interpolation
+    error.  Each snapshot after t=0 is reached by a step of its own, so no
     two share a time, even when closer than ``LANDING_TOL``.
     """
     if u0.grid != config.grid:
@@ -484,9 +493,6 @@ def run(
     if mismatch:
         warnings.warn(mismatch, stacklevel=2)
 
-    snap_times = sorted(set((0.0, float(config.final_time), *config.snapshot_times)))
-    config = replace(config, snapshot_times=tuple(snap_times))
-
     P0 = cumulative_primitive(u0)
     ws = Workspace(config.grid, 0.0, u0.values, P0.values)
     snapshots = [State(t=0.0, u=u0, P=P0)]
@@ -494,7 +500,7 @@ def run(
     grad_sq = [ws.grad_sq]
     dts = []
 
-    for target in snap_times[1:]:  # snap_times[0] == 0.0 already recorded
+    for target in config.snapshot_times[1:]:  # 0.0 is already recorded
         landed = False
         while not landed:
             dt = min(stable_dt(ws, config), target - ws.t)

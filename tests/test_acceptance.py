@@ -22,14 +22,12 @@ from spe.diagnostics import (
     stability_compare,
 )
 from spe.entropy import (
-    EntropyPair,
     entropy_residual,
     entropy_tolerance,
     extract_trace,
     make_bump_family,
 )
-from spe.fields import Field, lp_norm, make_uniform_grid, windowed_l1
-from spe.nonlocal_source import cumulative_primitive
+from spe.fields import Field, cumulative_primitive, lp_norm, make_uniform_grid, windowed_l1
 from spe.scenarios import preset_initial
 from spe.scheme import BoundaryData, SolverConfig, State, Trajectory, Workspace, run, stable_dt, step
 from conftest import rescale_scenario, timed_run
@@ -169,7 +167,7 @@ def test_criterion_06_entropy_inequality(s1_eps3_traj, riemann_traj, run_times):
     bumps_r = make_bump_family((0.0, 0.2), (0.0, grid.length), (3, 3))
     calib_min = math.inf
     for c in np.linspace(-1.0, 1.0, 5):
-        pair = EntropyPair(c=float(c))
+        pair = float(c)
         for phi in bumps_r:
             r = entropy_residual(exact, pair, phi, trace_exact)
             tol = entropy_tolerance(phi, exact)
@@ -189,7 +187,7 @@ def test_criterion_06_entropy_inequality(s1_eps3_traj, riemann_traj, run_times):
     worst = math.inf
     count = 0
     for c in np.linspace(-sup_u, sup_u, 5):
-        pair = EntropyPair(c=float(c))
+        pair = float(c)
         for phi in bumps:
             r = entropy_residual(traj, pair, phi, trace)
             tol = entropy_tolerance(phi, traj)

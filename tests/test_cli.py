@@ -5,6 +5,9 @@ import json
 import math
 import re
 import shlex
+import stat
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -15,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import subprocess_env
 from spe import cli
 from spe.cli import MAX_ENTROPY_ROWS, main
 from spe.entropy import (
-    EntropyPair,
     entropy_residual,
     entropy_tolerance,
     extract_trace,
@@ -437,7 +440,7 @@ class TestEntropyCheck:
         expected = []
         for c in np.linspace(-sup_u, sup_u, 5):
             for bi, phi in enumerate(bumps):
-                r = entropy_residual(traj, EntropyPair(c=float(c)), phi, trace)
+                r = entropy_residual(traj, float(c), phi, trace)
                 tol = entropy_tolerance(phi, traj)
                 expected.append((float(c), bi, r, tol, "pass" if r >= -tol else "fail"))
         assert code == (0 if all(e[4] == "pass" for e in expected) else 1)
@@ -713,6 +716,34 @@ class TestErrors:
         err = read_json(out / "error.json")
         assert err["error"] == "DataValidationError"
         assert len(err["violations"]) == count
+
+    def test_cell_too_small_for_diffusion_is_an_input_error(self, tmp_path):
+        # dx * dx underflows to 0 for dx = 1e-302, so the diffusion step
+        # could not form r = eps dt / dx^2; the grid is refused before a step
+        scenario = tiny_scenario(
+            tmp_path, grid={"L": 1e-300, "n": 100}, time={"T": 1e-300},
+            initial={"preset": "sine-packet", "params": {"x0": 0, "w": 1e-301}})
+        out = tmp_path / "out"
+        assert main(["solve", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert "grid cell dx" in read_json(out / "error.json")["message"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_files_get_the_mode_of_a_plain_open(self, tmp_path, umask, mode):
+        # the mode of a file opened for writing under the process umask, not
+        # that of the temporary file each write is renamed from
+        code = (
+            "import os, sys\n"
+            "os.umask(int(sys.argv[1]))\n"
+            "from spe.cli import main\n"
+            "main(['scale', '--scenario', sys.argv[2], '--out', sys.argv[4]])\n"
+            "main(['solve', '--scenario', sys.argv[3], '--out', sys.argv[4] + '-err'])\n"
+        )
+        out = tmp_path / "out"
+        subprocess.run([sys.executable, "-c", code, str(umask),
+                        str(builtin_scenario_path("s1")), str(builtin_scenario_path("riemann")),
+                        str(out)], env=subprocess_env(), check=True, capture_output=True)
+        for path in (out / "scale.json", tmp_path / "out-err" / "error.json"):
+            assert stat.S_IMODE(path.stat().st_mode) == mode, path
 
     def test_viscous_explicit_scheme_is_an_input_error(self, tmp_path):
         # "explicit" is the inviscid scheme; with eps > 0 there is no

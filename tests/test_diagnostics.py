@@ -20,8 +20,7 @@ from spe.diagnostics import (
     scaling_constants,
     stability_compare,
 )
-from spe.fields import Field, lp_norm, make_uniform_grid, windowed_l1
-from spe.nonlocal_source import cumulative_primitive
+from spe.fields import Field, cumulative_primitive, lp_norm, make_uniform_grid, windowed_l1
 from spe.scenarios import preset_boundary, preset_initial
 from spe.scheme import BoundaryData, SolverConfig, State, Trajectory, run
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from spe.entropy import TestFunction as SeparableBump
 from spe.entropy import (
     BumpProfile,
-    EntropyPair,
     _support_box,
     entropy_residual,
     entropy_residuals,
@@ -22,8 +21,7 @@ from spe.entropy import (
     extract_trace,
     make_bump_family,
 )
-from spe.fields import Field, make_uniform_grid
-from spe.nonlocal_source import cumulative_primitive
+from spe.fields import Field, cumulative_primitive, make_uniform_grid
 from spe.scheme import BoundaryData, SolverConfig, State, Trajectory, run
 
 
@@ -164,7 +162,7 @@ class TestEntropyResidual:
     def test_zero_state_zero_constant(self):
         traj = self.zero_traj()
         phi = make_bump_family((0.0, 1.0), (0.0, 10.0), (1, 1))[0]
-        r = entropy_residual(traj, EntropyPair(c=0.0), phi, extract_trace(traj))
+        r = entropy_residual(traj, 0.0, phi, extract_trace(traj))
         assert r == 0.0
 
     def test_zero_state_unit_constant_interior_bump(self):
@@ -173,7 +171,7 @@ class TestEntropyResidual:
         traj = self.zero_traj(n=512)
         fam = make_bump_family((0.0, 1.0), (0.0, 10.0), (3, 3))
         phi = fam[4]
-        r = entropy_residual(traj, EntropyPair(c=1.0), phi, extract_trace(traj))
+        r = entropy_residual(traj, 1.0, phi, extract_trace(traj))
         assert abs(r) < 5e-3
 
     def test_support_validation(self):
@@ -182,23 +180,23 @@ class TestEntropyResidual:
             pt=BumpProfile(0.0, 2.0), px=BumpProfile(0.0, 5.0)
         )  # extends past final_time = 1
         with pytest.raises(ValueError):
-            entropy_residual(traj, EntropyPair(c=0.0), phi, extract_trace(traj))
+            entropy_residual(traj, 0.0, phi, extract_trace(traj))
 
     def test_trace_alignment_validated(self):
         traj = self.zero_traj()
         phi = make_bump_family((0.0, 1.0), (0.0, 10.0), (1, 1))[0]
         with pytest.raises(ValueError, match="trace"):
-            entropy_residual(traj, EntropyPair(c=0.0), phi, np.zeros(2))
+            entropy_residual(traj, 0.0, phi, np.zeros(2))
 
     def test_linearity_in_test_function(self, s1_traj):
         fam = make_bump_family((0.0, 1.0), (0.0, 10.0), (3, 3))
         phi1, phi2 = fam[4], fam[5]
-        pair = EntropyPair(c=0.3)
+        c = 0.3
         trace = extract_trace(s1_traj)
         a, b = 2.5, 0.75
-        combo_r = entropy_residual(s1_traj, pair, Combo(a, phi1, b, phi2), trace)
-        parts = a * entropy_residual(s1_traj, pair, phi1, trace) + b * entropy_residual(
-            s1_traj, pair, phi2, trace
+        combo_r = entropy_residual(s1_traj, c, Combo(a, phi1, b, phi2), trace)
+        parts = a * entropy_residual(s1_traj, c, phi1, trace) + b * entropy_residual(
+            s1_traj, c, phi2, trace
         )
         assert combo_r == pytest.approx(parts, rel=1e-12, abs=1e-12)
 
@@ -255,7 +253,7 @@ class TestEntropyResidual:
             + np.sum(wx * s1_traj.initial.u.values * phi.phi(np.array([0.0]), xs)[0])
         )
         for c in (m - 0.5, m - 1.5):
-            r = entropy_residual(s1_traj, EntropyPair(c=c), phi, trace)
+            r = entropy_residual(s1_traj, c, phi, trace)
             assert r == pytest.approx(weak - c * A - c**3 * B, rel=1e-9, abs=1e-9)
 
     def test_tolerance_formula(self, s1_traj):
@@ -365,7 +363,7 @@ class TestSupportBoxQuadrature:
         family = make_bump_family((0.0, t_end), (0.0, x_end), (kt, kx))
         for phi in family:
             ref = full_grid_residual(traj, g, c, phi, trace)
-            r = entropy_residual(traj, EntropyPair(c=c), phi, trace)
+            r = entropy_residual(traj, c, phi, trace)
             assert abs(r - ref) <= 1e-13 * (1.0 + abs(ref))
             assert entropy_tolerance(phi, traj) == full_grid_tolerance(phi, traj)
 
@@ -390,7 +388,7 @@ class TestSupportBoxQuadrature:
             for c, r in zip(constants, rs):
                 ref = full_grid_residual(traj, g, c, phi, trace)
                 assert abs(r - ref) <= 1e-13 * (1.0 + abs(ref))
-                assert entropy_residual(traj, EntropyPair(c=c), phi, trace) == r
+                assert entropy_residual(traj, c, phi, trace) == r
 
     @pytest.mark.parametrize("name, spec", [("s1_traj", "s1_spec"),
                                             ("riemann_traj", "riemann_spec")],
@@ -408,7 +406,7 @@ class TestSupportBoxQuadrature:
             assert entropy_tolerance(phi, traj) == full_grid_tolerance(phi, traj)
             for c in (-0.4, 0.0, 0.7):
                 ref = full_grid_residual(traj, g, c, phi, trace)
-                r = entropy_residual(traj, EntropyPair(c=c), phi, trace)
+                r = entropy_residual(traj, c, phi, trace)
                 assert abs(r - ref) <= 1e-13 * (1.0 + abs(ref))
 
     def test_pulse_boundary_read_at_snapshot_rows(self, s2_traj, s2_spec):

@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spe.fields import Field, make_uniform_grid, mean
-from spe.nonlocal_source import cumulative_primitive
+from spe.fields import Field, cumulative_primitive, make_uniform_grid, mean
 
 GRID12 = make_uniform_grid(3.0, 12)
 

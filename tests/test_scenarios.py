@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from spe.errors import DataValidationError
-from spe.fields import lp_norm, make_uniform_grid, mean
-from spe.nonlocal_source import cumulative_primitive
+from spe.fields import cumulative_primitive, lp_norm, make_uniform_grid, mean
 from spe.scenarios import (
     builtin_scenario_path,
     parse_scenario,

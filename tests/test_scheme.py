@@ -18,8 +18,7 @@ from scipy.linalg import lapack
 from conftest import subprocess_env
 from spe import scheme
 from spe.errors import BlowUpError, DataValidationError
-from spe.fields import Field, lp_norm, make_uniform_grid, mean
-from spe.nonlocal_source import cumulative_primitive
+from spe.fields import Field, cumulative_primitive, lp_norm, make_uniform_grid, mean
 from spe.scenarios import preset_boundary, preset_initial
 from spe.scheme import (
     LANDING_TOL,
@@ -125,6 +124,24 @@ class TestSolverConfig:
         for bad in (0.0, 1.5, -0.1):
             with pytest.raises(ValueError):
                 SolverConfig(eps=1e-2, grid=grid, final_time=1.0, cfl_safety=bad)
+
+    def test_schedule_is_sorted_unique_and_spans_the_run(self):
+        # the config stores the schedule run follows: 0 and final_time
+        # added, repeats dropped, and a time within LANDING_TOL past
+        # final_time clamped to it
+        grid = make_uniform_grid(1.0, 8)
+        T = 0.8
+        config = SolverConfig(eps=1e-2, grid=grid, final_time=T,
+                              snapshot_times=(0.5, 0.1, 0.5, T + 5e-13))
+        assert config.snapshot_times == (0.0, 0.1, 0.5, T)
+        assert SolverConfig(eps=1e-2, grid=grid, final_time=1).snapshot_times == (0.0, 1.0)
+
+    def test_cell_too_small_for_diffusion(self):
+        # r = eps dt / (dx * dx) needs a dx whose square does not underflow
+        grid = make_uniform_grid(1e-300, 100)
+        with pytest.raises(ValueError, match="dx \\* dx underflows"):
+            SolverConfig(eps=1e-2, grid=grid, final_time=1e-300)
+        SolverConfig(eps=0.0, grid=grid, final_time=1e-300)  # no diffusion step
 
 
 class TestBoundaryData:

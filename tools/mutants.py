@@ -61,6 +61,9 @@ MUTANTS = [
      "out[0] = 0.0\n    np.subtract(flux[1:], flux[:-1], out=out[1:])",
      "out[-1] = 0.0\n    np.subtract(flux[1:], flux[:-1], out=out[:-1])",
      ["tests/test_scheme.py::TestKernelProperties::test_source_free_step_is_monotone"]),
+    ("tiny-cell-admitted", SCHEME,
+     "if self.eps > 0.0 and dx * dx == 0.0:", "if False:",
+     ["tests/test_cli.py::TestErrors::test_cell_too_small_for_diffusion_is_an_input_error"]),
     ("landing-without-tolerance", SCHEME,
      "LANDING_TOL = 1e-12", "LANDING_TOL = 0.0",
      ["tests/test_scheme.py::TestRun"]),
@@ -95,6 +98,9 @@ MUTANTS = [
      "                _remove_outputs(out, inputs)\n                if", "                if",
      ["tests/test_cli.py::TestOutputTree::"
       "test_write_failure_leaves_no_file_of_either_run"]),
+    ("files-keep-the-temporary-mode", CLI,
+     "            os.fchmod(fh.fileno(), 0o666 & ~umask)\n", "",
+     ["tests/test_cli.py::TestErrors::test_files_get_the_mode_of_a_plain_open"]),
     ("output-over-input-allowed", CLI,
      "        if clash:", "        if False:",
      ["tests/test_cli.py::TestOutputTree"]),
