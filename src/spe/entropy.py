@@ -16,6 +16,11 @@ evaluates the left-hand side by space-time trapezoidal quadrature over the
 snapshot grid, summed over phi's support box only, and reports it as the
 residual; admissibility means residual >= -tol with tol scaled by the
 quadrature resolution.
+
+``entropy_residuals`` and ``entropy_tolerance`` take one test function;
+``entropy_table`` takes a whole bump family, reads the trajectory once and
+evaluates each axis profile once.  Both go through one quadrature core
+(``_Quadrature``) and give the same bits.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ __all__ = [
     "entropy_residual",
     "entropy_residuals",
     "entropy_tolerance",
+    "entropy_table",
 ]
 
 
@@ -143,6 +149,14 @@ def extract_trace(traj: Trajectory) -> np.ndarray:
     return np.array([s.u.values[1] for s in traj.snapshots])
 
 
+def _cover(nodes: np.ndarray, lo: float, hi: float) -> slice:
+    """The slice of ``nodes`` that holds [lo, hi], widened by one node on
+    each side."""
+    start = int(np.searchsorted(nodes, lo, side="left"))
+    stop = int(np.searchsorted(nodes, hi, side="right"))
+    return slice(max(start - 1, 0), stop + 1)
+
+
 def _support_box(phi: TestFunction, times: np.ndarray, xs: np.ndarray) -> tuple:
     """Row and column slices of the snapshot grid that hold phi's closed
     support box, widened by one point on each side.
@@ -151,13 +165,44 @@ def _support_box(phi: TestFunction, times: np.ndarray, xs: np.ndarray) -> tuple:
     end of the support can land inside it through rounding in a profile's
     z map, but only within an ulp of the end, i.e. as the nearest point.
     """
+    return _cover(times, *phi.t_support), _cover(xs, *phi.x_support)
 
-    def cover(nodes, lo, hi):
-        start = int(np.searchsorted(nodes, lo, side="left"))
-        stop = int(np.searchsorted(nodes, hi, side="right"))
-        return slice(max(start - 1, 0), stop + 1)
 
-    return cover(times, *phi.t_support), cover(xs, *phi.x_support)
+def _sup(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values), initial=0.0))
+
+
+@dataclass(frozen=True)
+class _OnBox:
+    """A profile on its support box of one axis's points (``_cover``): the
+    box, the profile's values and derivatives there with their sups, and
+    its value at 0."""
+
+    box: slice
+    value: np.ndarray
+    derivative: np.ndarray
+    sup: float
+    sup_derivative: float
+    at_zero: float
+
+    @classmethod
+    def of(cls, profile: BumpProfile, nodes: np.ndarray) -> "_OnBox":
+        box = _cover(nodes, profile.lo, profile.hi)
+        value, derivative = profile.value(nodes[box]), profile.derivative(nodes[box])
+        return cls(box, value, derivative, _sup(value), _sup(derivative),
+                   float(profile.value(0.0)))
+
+
+def _resolution(traj: Trajectory) -> float:
+    """dx + dt_snap, the quadrature resolution the tolerance scales with."""
+    return traj.config.grid.dx + float(np.max(np.diff(traj.times)))
+
+
+def _tolerance(resolution: float, pt: _OnBox, px: _OnBox) -> float:
+    """10 * resolution * max(sup|phi|, sup|phi_t|, sup|phi_x|) of
+    phi = pt * px on its support box (``entropy_tolerance``)."""
+    scale = max(pt.sup * px.sup, pt.sup_derivative * px.sup, pt.sup * px.sup_derivative)
+    return 10.0 * resolution * scale
 
 
 def entropy_tolerance(phi: TestFunction, traj: Trajectory) -> float:
@@ -172,19 +217,9 @@ def entropy_tolerance(phi: TestFunction, traj: Trajectory) -> float:
     moving-shock solution of the source-free cubic conservation law (see
     the acceptance suite).
     """
-    times = traj.times
-    xs = traj.config.grid.nodes
-    dt_snap = float(np.max(np.diff(times)))
-    dx = traj.config.grid.dx
-    rows, cols = _support_box(phi, times, xs)
-
-    def sup(values):
-        return float(np.max(np.abs(values), initial=0.0))
-
-    pt, dpt = sup(phi.pt.value(times[rows])), sup(phi.pt.derivative(times[rows]))
-    px, dpx = sup(phi.px.value(xs[cols])), sup(phi.px.derivative(xs[cols]))
-    scale = max(pt * px, dpt * px, pt * dpx)
-    return 10.0 * (dx + dt_snap) * scale
+    pt = _OnBox.of(phi.pt, traj.times)
+    px = _OnBox.of(phi.px, traj.config.grid.nodes)
+    return _tolerance(_resolution(traj), pt, px)
 
 
 def _signed_sums(keys: np.ndarray, weights: list, constants: np.ndarray) -> np.ndarray:
@@ -201,11 +236,78 @@ def _signed_sums(keys: np.ndarray, weights: list, constants: np.ndarray) -> np.n
     # row j holds 0 and then the prefix sums of weights[j] in key order
     prefix = np.zeros((len(weights), order.size + 1))
     for row, w in zip(prefix, weights):
-        np.take(w, order, out=row[1:])
+        # argsort's indices are in range; the default mode="raise" would
+        # buffer the output
+        np.take(w, order, out=row[1:], mode="clip")
     np.cumsum(prefix, axis=1, out=prefix)
     below = prefix[:, np.searchsorted(ranked, constants, side="left")]
     above = prefix[:, -1:] - prefix[:, np.searchsorted(ranked, constants, side="right")]
     return above - below
+
+
+class _Quadrature:
+    """What the quadrature reads of one trajectory, its trace and the
+    constants, read once for every test function: the snapshot times, the
+    nodes, the trapezoid weights of both, g in each snapshot's row of the
+    boundary series and u0.  A test function's residuals are ``interior``
+    + ``boundary`` + ``initial``, summed in that order."""
+
+    def __init__(self, traj: Trajectory, constants, trace: np.ndarray):
+        times = traj.times
+        if len(trace) != len(times):
+            raise ValueError("trace does not have one value per trajectory snapshot")
+        grid = traj.config.grid
+        self.times, self.xs, self.trace = times, grid.nodes, trace
+        self.ends = (traj.config.final_time, grid.length)
+        # trapezoid weights in t (general spacing) and x (uniform) of the
+        # whole grid; each sum runs over one support box only
+        self.wt = _trapezoid_weights(np.diff(times), len(times))
+        self.wx = _trapezoid_weights(grid.dx, len(self.xs))
+        self.g = traj.boundary_series[traj.snapshot_rows, 1]
+        self.u0 = traj.initial.u.values
+        self.snapshots = traj.snapshots
+        self.sourced = traj.config.include_source
+        self.c = np.asarray(constants, dtype=float)
+        self.c3 = self.c**3
+
+    def check_support(self, t_support: tuple, x_support: tuple) -> None:
+        tol = 1e-9
+        T, L = self.ends
+        if not (-tol <= t_support[0] and t_support[1] <= T + tol
+                and -tol <= x_support[0] and x_support[1] <= L + tol):
+            raise ValueError("test function support exceeds the computed domain")
+
+    def interior(self, rows: slice, cols: slice, phi_t, phi_x, phi) -> np.ndarray:
+        """The space-time integrals, from phi_t, phi_x and phi on the support
+        box ``rows`` x ``cols`` (phi is read only when the run has the
+        source)."""
+        snaps = self.snapshots[rows]
+        W = np.outer(self.wt[rows], self.wx[cols])
+        U = np.stack([s.u.values[cols] for s in snaps])
+        W_phi_t = W * phi_t
+        W_phi_x = W * phi_x
+        weights = [U * W_phi_t, W_phi_t, U * U * U * W_phi_x, W_phi_x]
+        if self.sourced:
+            P = np.stack([s.P.values[cols] for s in snaps])
+            weights.append(W * P * phi)
+        s = _signed_sums(U, weights, self.c)
+        out = (s[0] - self.c * s[1]) + (s[2] - self.c3 * s[3])
+        if self.sourced:
+            out += s[4]
+        return out
+
+    def boundary(self, rows: slice, phi_t0) -> np.ndarray:
+        """The boundary-trace integral, from phi(t, 0) on ``rows``."""
+        wt_phi_t0 = self.wt[rows] * phi_t0
+        b = _signed_sums(self.g[rows], [self.trace[rows] ** 3 * wt_phi_t0, wt_phi_t0], self.c)
+        return b[0] - self.c3 * b[1]
+
+    def initial(self, cols: slice, phi_0x) -> np.ndarray:
+        """The initial-datum integral, from phi(0, x) on ``cols``."""
+        u0 = self.u0[cols]
+        wx_phi_0x = self.wx[cols] * phi_0x
+        i = _signed_sums(u0, [u0 * wx_phi_0x, wx_phi_0x], self.c)
+        return i[0] - self.c * i[1]
 
 
 def entropy_residuals(
@@ -226,55 +328,19 @@ def entropy_residuals(
     the box sorted on U, the boundary term is sorted on g and the initial
     term on u0, each weighted by the trapezoid weights.  A bump with N box
     points and K constants costs O((N + K) log N) time and O(N + K) memory.
+    ``phi`` is read only through its supports, ``phi``, ``dphi_dt`` and
+    ``dphi_dx``, so it need not be separable.
     """
-    grid = traj.config.grid
-    T = traj.config.final_time
-    tol = 1e-9
-    if not (
-        -tol <= phi.t_support[0]
-        and phi.t_support[1] <= T + tol
-        and -tol <= phi.x_support[0]
-        and phi.x_support[1] <= grid.length + tol
-    ):
-        raise ValueError("test function support exceeds the computed domain")
-
-    times = traj.times
-    if len(trace) != len(times):
-        raise ValueError("trace does not have one value per trajectory snapshot")
-    xs = grid.nodes
-
-    # trapezoid weights in t (general spacing) and x (uniform) of the whole
-    # grid; the sums run over phi's support box only
-    wt = _trapezoid_weights(np.diff(times), len(times))
-    wx = _trapezoid_weights(grid.dx, len(xs))
-    rows, cols = _support_box(phi, times, xs)
-    times, xs, wt, wx = times[rows], xs[cols], wt[rows], wx[cols]
-    snaps = traj.snapshots[rows]
-    W = np.outer(wt, wx)
-
-    U = np.stack([s.u.values[cols] for s in snaps])
-    W_phi_t = W * phi.dphi_dt(times, xs)
-    W_phi_x = W * phi.dphi_dx(times, xs)
-    interior = [U * W_phi_t, W_phi_t, U * U * U * W_phi_x, W_phi_x]
-    sourced = traj.config.include_source
-    if sourced:
-        P = np.stack([s.P.values[cols] for s in snaps])
-        interior.append(W * P * phi.phi(times, xs))
-
-    g_vals = traj.boundary_series[traj.snapshot_rows[rows], 1]
-    wt_phi_t0 = wt * phi.phi(times, np.array([0.0]))[:, 0]
-    u0 = traj.initial.u.values[cols]
-    wx_phi_0x = wx * phi.phi(np.array([0.0]), xs)[0]
-
-    c = np.asarray(constants, dtype=float)
-    c3 = c**3
-    s = _signed_sums(U, interior, c)
-    b = _signed_sums(g_vals, [trace[rows] ** 3 * wt_phi_t0, wt_phi_t0], c)
-    i = _signed_sums(u0, [u0 * wx_phi_0x, wx_phi_0x], c)
-    out = (s[0] - c * s[1]) + (s[2] - c3 * s[3])
-    if sourced:
-        out += s[4]
-    return out + (b[0] - c3 * b[1]) + (i[0] - c * i[1])
+    q = _Quadrature(traj, constants, trace)
+    q.check_support(phi.t_support, phi.x_support)
+    rows, cols = _support_box(phi, q.times, q.xs)
+    times, xs = q.times[rows], q.xs[cols]
+    return (
+        q.interior(rows, cols, phi.dphi_dt(times, xs), phi.dphi_dx(times, xs),
+                   phi.phi(times, xs) if q.sourced else None)
+        + q.boundary(rows, phi.phi(times, np.array([0.0]))[:, 0])
+        + q.initial(cols, phi.phi(np.array([0.0]), xs)[0])
+    )
 
 
 def entropy_residual(
@@ -286,3 +352,44 @@ def entropy_residual(
     """The inequality's left-hand side for the Kruzhkov constant ``c``: the
     one-constant case of ``entropy_residuals``."""
     return float(entropy_residuals(traj, [c], phi, trace)[0])
+
+
+def entropy_table(traj: Trajectory, constants, bumps: list, trace: np.ndarray) -> tuple:
+    """``entropy_residuals`` and ``entropy_tolerance`` of every separable
+    bump in ``bumps`` (a ``make_bump_family``), bit for bit, in one pass:
+    residuals of shape (len(bumps), len(constants)) and tolerances of
+    shape (len(bumps),).
+
+    The trajectory is read once, and each distinct profile of an axis is
+    evaluated once on its support box (``_OnBox``); a bump then only forms
+    phi_t = pt' px, phi_x = pt px' (and phi = pt px with the source) on its
+    box as outer products of those tables, the same products the per-bump
+    functions take.  A kt x kx tiling evaluates kt + kx profiles instead of
+    about 12 kt kx, and sums at most 2 kt boundary and 2 kx initial terms
+    instead of kt kx each.
+    """
+    q = _Quadrature(traj, constants, trace)
+    resolution = _resolution(traj)
+    # each distinct profile of an axis, on its box of that axis's points
+    on_t = {p: _OnBox.of(p, q.times) for p in {phi.pt for phi in bumps}}
+    on_x = {p: _OnBox.of(p, q.xs) for p in {phi.px for phi in bumps}}
+    # a bump's boundary term depends only on pt and px(0), its initial term
+    # only on px and pt(0)
+    boundary, initial = {}, {}
+    residuals = np.empty((len(bumps), len(q.c)))
+    tolerances = np.empty(len(bumps))
+    for k, phi in enumerate(bumps):
+        q.check_support(phi.t_support, phi.x_support)
+        pt, px = on_t[phi.pt], on_x[phi.px]
+        b, i = (phi.pt, px.at_zero), (phi.px, pt.at_zero)
+        if b not in boundary:
+            boundary[b] = q.boundary(pt.box, pt.value * px.at_zero)
+        if i not in initial:
+            initial[i] = q.initial(px.box, pt.at_zero * px.value)
+        residuals[k] = q.interior(
+            pt.box, px.box,
+            np.outer(pt.derivative, px.value), np.outer(pt.value, px.derivative),
+            np.outer(pt.value, px.value) if q.sourced else None,
+        ) + boundary[b] + initial[i]
+        tolerances[k] = _tolerance(resolution, pt, px)
+    return residuals, tolerances

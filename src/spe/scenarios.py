@@ -374,7 +374,10 @@ def _load_boundary_csv(path: Path) -> BoundaryData:
     def g(t: float, _ts=ts, _gs=gs) -> float:
         return float(np.interp(t, _ts, _gs))
 
-    return BoundaryData(g=g, sup_bound=float(np.max(np.abs(gs))))
+    try:
+        return BoundaryData(g=g, sup_bound=float(np.max(np.abs(gs))))
+    except DataValidationError as err:
+        raise DataValidationError([f"{path}: {v}" for v in err.violations]) from None
 
 
 def builtin_scenario_path(name: str) -> Path:

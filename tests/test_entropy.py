@@ -17,6 +17,7 @@ from spe.entropy import (
     _support_box,
     entropy_residual,
     entropy_residuals,
+    entropy_table,
     entropy_tolerance,
     extract_trace,
     make_bump_family,
@@ -494,3 +495,100 @@ class TestSortedSums:
         box = traj.times[rows].size * traj.config.grid.nodes[cols].size
         assert peak < 8 * len(constants) * box  # one float per constant and point
         assert peak < 64 * 8 * (len(constants) + box)
+
+
+def assert_table_matches_per_bump(traj, constants, bumps, trace):
+    """``entropy_table`` is the per-bump residuals and tolerances bit for bit."""
+    residuals, tolerances = entropy_table(traj, constants, bumps, trace)
+    assert residuals.shape == (len(bumps), len(constants))
+    assert tolerances.shape == (len(bumps),)
+    for k, phi in enumerate(bumps):
+        assert np.array_equal(residuals[k], entropy_residuals(traj, constants, phi, trace))
+        assert tolerances[k] == entropy_tolerance(phi, traj)
+
+
+class TestEntropyTable:
+    """One pass over a tiling: each profile evaluated once on its box gives
+    the same numbers as each bump on its own."""
+
+    @pytest.mark.parametrize("counts", [(1, 1), (3, 3), (5, 5)], ids=str)
+    @pytest.mark.parametrize("name", ["riemann_traj", "s1_traj", "s2_traj"])
+    def test_matches_per_bump_on_runs(self, request, name, counts):
+        # riemann is source-free, s1 sourced, s2 has a pulse boundary datum
+        traj = request.getfixturevalue(name)
+        trace = extract_trace(traj)
+        sup_u = max(float(np.max(np.abs(s.u.values))) for s in traj.snapshots)
+        bumps = make_bump_family(
+            (0.0, traj.config.final_time), (0.0, traj.config.grid.length), counts
+        )
+        assert_table_matches_per_bump(traj, np.linspace(-sup_u, sup_u, 13), bumps, trace)
+
+    @given(
+        constants=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=8),
+        kt=st.integers(1, 6),
+        kx=st.integers(1, 6),
+        t_end=st.floats(0.3, 1.0),
+        x_end=st.floats(1.0, 6.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_bump_off_the_grid(self, constants, kt, kx, t_end, x_end):
+        traj, _, trace = box_trajectory()
+        times = np.array([s.t for s in traj.snapshots])
+        xs = traj.config.grid.nodes
+        t_edges = np.arange(1, kt + 1) * (t_end / kt)
+        x_edges = np.arange(1, kx + 1) * (x_end / kx)
+        assume(np.min(np.abs(times[:, None] - t_edges)) > 1e-9)
+        assume(np.min(np.abs(xs[:, None] - x_edges)) > 1e-9)
+        family = make_bump_family((0.0, t_end), (0.0, x_end), (kt, kx))
+        assert_table_matches_per_bump(traj, constants, family, trace)
+
+    def test_equal_profiles_on_both_axes(self):
+        # on a square tiling a time profile equals a space profile; each
+        # is still evaluated on its own axis's points
+        traj, _, trace = box_trajectory()
+        family = make_bump_family((0.0, 1.0), (0.0, 1.0), (3, 3))
+        assert {phi.pt for phi in family} == {phi.px for phi in family}
+        assert_table_matches_per_bump(traj, [-0.3, 0.0, 0.5], family, trace)
+
+
+def shock_trajectory(left, right, speed):
+    """A jump from ``left`` to ``right`` at x = 0.5 + speed * t of the
+    source-free cubic conservation law, on n = 2000, L = 10 and 21 levels in
+    [0, 0.2], with g equal to the left state."""
+    grid = make_uniform_grid(10.0, 2000)
+    times = np.linspace(0.0, 0.2, 21)
+    config = SolverConfig(
+        eps=0.0, grid=grid, final_time=float(times[-1]), scheme="explicit",
+        snapshot_times=tuple(times), include_source=False,
+    )
+    states = []
+    for t in times:
+        u = Field(grid, np.where(grid.nodes < 0.5 + speed * t, left, right))
+        states.append(State(t=float(t), u=u, P=cumulative_primitive(u)))
+    return Trajectory(
+        config=config, snapshots=tuple(states),
+        boundary_series=np.array([[s.t, left, 0.0] for s in states]),
+        grad_sq_series=np.zeros(len(states)),
+        step_log=np.diff(times),
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the snapshot-resolution quadrature and its sup-norm tolerance "
+           "accept these shocks (ROADMAP item 2)",
+)
+@pytest.mark.parametrize("left, right, speed", [
+    (0.0, 1.0, 1.0),  # meets Rankine-Hugoniot, but the characteristics diverge
+    (1.0, 0.0, 2.0),  # breaks Rankine-Hugoniot (the speed is 1)
+    (1.0, 0.0, 0.0),  # a standing jump, also against Rankine-Hugoniot
+], ids=["0|1-speed-1", "1|0-speed-2", "1|0-standing"])
+def test_wrong_shock_is_rejected(left, right, speed):
+    traj = shock_trajectory(left, right, speed)
+    trace = extract_trace(traj)
+    constants = np.linspace(-1.0, 1.0, 13)
+    for counts in ((3, 3), (5, 5), (5, 20)):
+        bumps = make_bump_family((0.0, 0.2), (0.0, 10.0), counts)
+        residuals, tolerances = entropy_table(traj, constants, bumps, trace)
+        assert np.any(residuals < -tolerances[:, None]), f"accepted at {counts}"

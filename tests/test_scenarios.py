@@ -191,6 +191,17 @@ class TestLoadScenario:
         with pytest.raises(DataValidationError, match="essentially bounded"):
             parse_scenario(doc)
 
+    def test_nan_boundary_value_names_the_file(self, s1_doc, tmp_path):
+        # BoundaryData owns the bound rule; the loader adds where it was read
+        boundary_file = tmp_path / "g.csv"
+        boundary_file.write_text("t,g\n0,0\n0.5,nan\n1,0\n")
+        doc = {**s1_doc, "boundary": {"file": str(boundary_file)}}
+        with pytest.raises(DataValidationError) as excinfo:
+            parse_scenario(doc)
+        assert excinfo.value.violations == [
+            f"{boundary_file}: boundary datum must be essentially bounded: "
+            "sup bound nan not in [0, inf)"]
+
     def test_one_row_boundary_file_is_constant(self, s1_doc, tmp_path):
         boundary_file = tmp_path / "g.csv"
         boundary_file.write_text("t,g\n0.0,0.25\n")

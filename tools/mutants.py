@@ -84,13 +84,24 @@ MUTANTS = [
      "    return above - below\n", "    return above\n",
      ["tests/test_entropy.py::TestSortedSums"]),
     ("entropy-g-from-gradient-column", ENTROPY,
-     "traj.boundary_series[traj.snapshot_rows[rows], 1]",
-     "traj.boundary_series[traj.snapshot_rows[rows], 2]",
+     "traj.boundary_series[traj.snapshot_rows, 1]",
+     "traj.boundary_series[traj.snapshot_rows, 2]",
      ["tests/test_entropy.py::TestSupportBoxQuadrature::"
       "test_pulse_boundary_read_at_snapshot_rows"]),
     ("tolerance-drops-a-product", ENTROPY,
-     "max(pt * px, dpt * px, pt * dpx)", "max(pt * px, dpt * px)",
+     "max(pt.sup * px.sup, pt.sup_derivative * px.sup, pt.sup * px.sup_derivative)",
+     "max(pt.sup * px.sup, pt.sup_derivative * px.sup)",
      ["tests/test_entropy.py::TestSupportBoxQuadrature"]),
+    # a space profile equal to a time profile is looked up in the time table
+    ("profile-tables-shared-by-the-axes", ENTROPY,
+     "for p in {phi.px for phi in bumps}}",
+     "for p in {phi.px for phi in bumps}} | on_t",
+     ["tests/test_entropy.py::TestEntropyTable"]),
+    # bumps that differ in px(0) share one boundary term
+    ("boundary-term-keyed-without-px0", ENTROPY,
+     "b, i = (phi.pt, px.at_zero), (phi.px, pt.at_zero)",
+     "b, i = (phi.pt,), (phi.px, pt.at_zero)",
+     ["tests/test_entropy.py::TestEntropyTable"]),
     ("worst-uses-argmin", "src/spe/diagnostics.py",
      "np.argmax(np.subtract(measured, bound))", "np.argmin(np.subtract(measured, bound))",
      ["tests/test_diagnostics.py::TestWorstCaseRule"]),

@@ -34,6 +34,9 @@ COMMANDS = [
     ["entropy-check", "--scenario", f"{DATA}/riemann.json"],
     ["entropy-check", "--scenario", f"{DATA}/riemann.json",
      "--constants", "13", "--bumps", "5,5"],
+    # the sourced P phi term and a time-varying boundary datum
+    ["entropy-check", "--scenario", f"{DATA}/s2.json",
+     "--constants", "13", "--bumps", "5,5"],
 ]
 
 
