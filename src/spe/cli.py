@@ -365,7 +365,8 @@ def main(argv=None) -> int:
         doc, passed = command(spec, out, args)
         write_json(out / document, doc)
         return 0 if passed else 1
-    except (BlowUpError, ValueError, OSError, MemoryError) as exc:
+    # ImportError: scipy, which only a viscous run loads, is missing
+    except (BlowUpError, ValueError, OSError, MemoryError, ImportError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, DataValidationError):
             record["violations"] = exc.violations

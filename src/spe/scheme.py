@@ -47,11 +47,15 @@ the same Fortran routines as ``scipy.linalg.lapack``, without the package
 init of ``scipy.linalg`` (its array-API layer and every linalg submodule),
 which would dominate the start-up time and memory of ``spe.cli``.
 ``_flapack`` is a private scipy name, so when it is not found the public
-module is used instead.
+module is used instead.  They are bound once, by the first ``SolverConfig``
+with eps > 0, so a viscous run pays the load while its scenario loads, not
+inside its first step; an inviscid process never loads the extension or the
+OpenBLAS behind it.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -94,13 +98,15 @@ def _load_flapack(search_path: list[str]):
     return module
 
 
-# find_spec of a top-level package locates it without importing it
-_scipy = importlib.util.find_spec("scipy")
-_lapack = _load_flapack([os.path.join(path, "linalg")
-                         for path in _scipy.submodule_search_locations] if _scipy else [])
-dpttrf, dpttrs = _lapack.dpttrf, _lapack.dpttrs
-# the module's other wrappers (about 0.1 MB resident) are not kept
-del _lapack
+@functools.cache
+def _lapack():
+    """The installed scipy's LAPACK wrappers (``_load_flapack``), loaded on
+    the first call; raises ``ImportError`` when scipy is missing."""
+    # find_spec of a top-level package locates it without importing it
+    scipy = importlib.util.find_spec("scipy")
+    return _load_flapack([os.path.join(path, "linalg")
+                          for path in scipy.submodule_search_locations] if scipy else [])
+
 
 #: rows of the diffusion matrix factored before its pivots are first compared
 FACTOR_PREFIX = 64
@@ -181,6 +187,9 @@ class SolverConfig:
             raise ValueError("snapshot times must lie in [0, final_time]")
         object.__setattr__(self, "snapshot_times",
                            tuple(sorted(set((0.0, T, *(min(s, T) for s in snaps))))))
+        if self.eps > 0.0:
+            # bound while the scenario loads, so no run's first step pays it
+            _lapack()
 
 
 @dataclass(frozen=True)
@@ -305,6 +314,7 @@ def _factor_diffusion(d: np.ndarray, e: np.ndarray, r: float) -> int:
     """
     m = d.shape[0]
     k = FACTOR_PREFIX
+    dpttrf = _lapack().dpttrf
     while True:
         k = min(m, k + (m - k) % 4)
         d[:k].fill(1.0 + 2.0 * r)
@@ -430,7 +440,7 @@ def step(
             rhs = new[1:-1]
             rhs[0] += r * g_new
             info = (_factor_diffusion(ws.diag, ws.offdiag, r)
-                    or dpttrs(ws.diag, ws.offdiag, rhs, overwrite_b=1)[1])
+                    or _lapack().dpttrs(ws.diag, ws.offdiag, rhs, overwrite_b=1)[1])
             if info != 0:
                 raise BlowUpError(t_new, f"diffusion solve failed (LAPACK info={info})")
         new[0] = g_new

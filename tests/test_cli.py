@@ -745,6 +745,33 @@ class TestErrors:
         for path in (out / "scale.json", tmp_path / "out-err" / "error.json"):
             assert stat.S_IMODE(path.stat().st_mode) == mode, path
 
+    @pytest.mark.parametrize("subcommand, scenario, code, files", [
+        ("entropy-check", "riemann", 0, ["entropy.json"]),
+        ("invariants", "s1", 2, ["error.json"]),
+    ], ids=["inviscid-runs", "viscous-exits-2"])
+    def test_without_scipy(self, tmp_path, subcommand, scenario, code, files):
+        # only the diffusion solve (eps > 0) needs scipy's LAPACK; without
+        # scipy a viscous run is a failed run, not a traceback
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from spe.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-c", script, subcommand, "--scenario",
+             str(builtin_scenario_path(scenario)), "--out", str(out)],
+            env=subprocess_env(), capture_output=True, text=True)
+        assert done.returncode == code
+        assert "Traceback" not in done.stderr
+        assert sorted(path.name for path in out.iterdir()) == files
+        if code == 2:
+            err = read_json(out / "error.json")
+            assert err["error"] == "ModuleNotFoundError"
+            assert "scipy" in err["message"]
+            assert done.stderr == f"error: {err['message']}\n"
+
     def test_viscous_explicit_scheme_is_an_input_error(self, tmp_path):
         # "explicit" is the inviscid scheme; with eps > 0 there is no
         # forward-Euler diffusion to fall back on

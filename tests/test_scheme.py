@@ -5,9 +5,11 @@ The single-step tests compare against hand-rolled loop-based reference
 implementations that share nothing with the production (vectorized) path.
 """
 
+import json
 import math
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -555,7 +557,7 @@ def _kernel_solve(b, r):
     d, e, x = np.empty(m), np.empty(max(m - 1, 1)), b.copy()
     info = scheme._factor_diffusion(d, e, r)
     if info == 0:
-        info = scheme.dpttrs(d, e, x, overwrite_b=1)[1]
+        info = scheme._lapack().dpttrs(d, e, x, overwrite_b=1)[1]
     return x, info
 
 
@@ -576,8 +578,8 @@ def _same_bits(ours, theirs):
 
 class TestDptsv:
     """The IMEX stage's diffusion solve: LAPACK loaded without the package
-    init of scipy.linalg, and a prefix factorization that gives
-    ``scipy.linalg.lapack.dptsv``'s solution bit for bit."""
+    init of scipy.linalg, and only for eps > 0, and a prefix factorization
+    that gives ``scipy.linalg.lapack.dptsv``'s solution bit for bit."""
 
     def test_import_leaves_scipy_linalg_unloaded(self):
         # a silent fall back to the public import would load scipy.linalg
@@ -592,6 +594,27 @@ class TestDptsv:
         out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_lapack_loaded_only_for_viscous_config(self, tmp_path):
+        # entropy-check on riemann (eps = 0) never maps the extension; s1
+        # (eps > 0) binds it while its scenario loads, before any run
+        code = (
+            "import json, sys\n"
+            "import spe.cli\n"
+            "from spe.scenarios import builtin_scenario_path, load_scenario\n"
+            "def lapack():\n"
+            "    return sorted(m for m in sys.modules if m == 'spe._flapack'"
+            " or m.startswith('scipy.linalg'))\n"
+            "rc = spe.cli.main(['entropy-check', '--scenario',"
+            " str(builtin_scenario_path('riemann')), '--out', sys.argv[1]])\n"
+            "inviscid = lapack()\n"
+            "load_scenario(builtin_scenario_path('s1'))\n"
+            "print(json.dumps([rc, inviscid, lapack()]))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                             env=subprocess_env(), capture_output=True, text=True,
+                             check=True)
+        assert json.loads(out.stdout) == [0, [], ["spe._flapack"]]
 
     # every residue of m mod 4 (dpttrf's unrolling), shorter and longer than
     # the first prefix, and the kernel's sizes at n = 2000 and 4000
@@ -620,8 +643,10 @@ class TestDptsv:
             rows.append(d.shape[0])
             return dpttrf(d, e, **kwargs)
 
-        dpttrf = scheme.dpttrf
-        monkeypatch.setattr(scheme, "dpttrf", counted)
+        lapack = scheme._lapack()
+        dpttrf = lapack.dpttrf
+        monkeypatch.setattr(scheme, "_lapack", lambda: types.SimpleNamespace(
+            dpttrf=counted, dpttrs=lapack.dpttrs))
         return rows
 
     def test_factors_a_short_prefix(self, monkeypatch):
@@ -644,7 +669,7 @@ class TestDptsv:
         loaded = scheme._load_flapack([str(tmp_path)])
         assert loaded is lapack
         d, e = np.full(5, 3.0), np.full(4, -1.0)
-        ours = scheme.dpttrf(d.copy(), e.copy())
+        ours = scheme._lapack().dpttrf(d.copy(), e.copy())
         theirs = loaded.dpttrf(d.copy(), e.copy())
         for a, b in zip(ours, theirs):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()

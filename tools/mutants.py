@@ -42,6 +42,11 @@ MUTANTS = [
      "if d[k - 5] == p and d[k - 4] == p and d[k - 3] == p and d[k - 2] == p:",
      "if d[k - 2] == p:",
      ["tests/test_scheme.py::TestDptsv"]),
+    # an inviscid process would map scipy's LAPACK and its OpenBLAS
+    ("lapack-bound-at-import", SCHEME,
+     "\n\n#: rows of the diffusion matrix factored",
+     "\n\n_lapack()\n#: rows of the diffusion matrix factored",
+     ["tests/test_scheme.py::TestDptsv::test_lapack_loaded_only_for_viscous_config"]),
     ("dirichlet-not-reimposed-after-projection", SCHEME,
      "            new -= scratch\n            new[0] = g_new\n            new[-1] = 0.0\n",
      "            new -= scratch\n",
