@@ -183,12 +183,16 @@ def _cmd_stability(spec: ScenarioSpec, out: Path, args) -> tuple:
     if args.stability_R > L:  # checked before the two runs it would waste
         raise ValueError(f"argument --stability-R: the window must be at most "
                          f"the domain length L = {L!r}, got {args.stability_R!r}")
+    try:  # checked before the two runs: its only failure is an overflow
+        bump = preset_initial(
+            "bump-derivative",
+            {"a": args.delta, "x0": L / 4.0, "sigma": L / 20.0},
+            spec.grid,
+        )
+    except ValueError:
+        raise ValueError(f"argument --delta: the perturbation's L1 norm overflows, "
+                         f"got {args.delta!r}") from None
     base = _run_scenario(spec)
-    bump = preset_initial(
-        "bump-derivative",
-        {"a": args.delta, "x0": L / 4.0, "sigma": L / 20.0},
-        spec.grid,
-    )
     perturbed_u0 = Field(spec.grid, spec.initial.values + bump.values)
     pert = _run_scenario(replace(spec, initial=perturbed_u0))
     C = args.stability_C
@@ -207,15 +211,18 @@ def _cmd_scale(spec: ScenarioSpec, out: Path, args) -> tuple:
     if spec.physical is None:
         raise DataValidationError(["scale needs a 'physical' block in the scenario"])
     sc = scaling_constants(*spec.physical)
-    return {
-        "tag": "physical-scaling-map",
+    values = {
         "k": sc.k,
         "c2": sc.c2,
         "D1": sc.D1,
         "D2": sc.D2,
         "identity_product": 2.0 * sc.c2**2 * sc.D1 * sc.D2,
         "identity_square": sc.c2**2 * sc.k**2 * sc.D2**2,
-    }, True
+    }
+    if not all(map(math.isfinite, values.values())):  # JSON has no inf or nan
+        raise ValueError(f"physical: k = {sc.k!r} and c2 = {sc.c2!r} put a scaling "
+                         f"constant beyond the float range")
+    return {"tag": "physical-scaling-map", **values}, True
 
 
 #: each subcommand: the function that runs it and returns (document, passed),
@@ -365,8 +372,10 @@ def main(argv=None) -> int:
         doc, passed = command(spec, out, args)
         write_json(out / document, doc)
         return 0 if passed else 1
-    # ImportError: scipy, which only a viscous run loads, is missing
-    except (BlowUpError, ValueError, OSError, MemoryError, ImportError) as exc:
+    # ImportError: scipy, which only a viscous run loads, is missing;
+    # ArithmeticError: a float operation on valid input overflowed
+    except (BlowUpError, ValueError, ArithmeticError, OSError, MemoryError,
+            ImportError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, DataValidationError):
             record["violations"] = exc.violations

@@ -17,10 +17,10 @@ snapshot grid, summed over phi's support box only, and reports it as the
 residual; admissibility means residual >= -tol with tol scaled by the
 quadrature resolution.
 
-``entropy_residuals`` and ``entropy_tolerance`` take one test function;
-``entropy_table`` takes a whole bump family, reads the trajectory once and
-evaluates each axis profile once.  Both go through one quadrature core
-(``_Quadrature``) and give the same bits.
+``entropy_table`` is the one evaluator: it takes a family of separable
+bumps, reads the trajectory once and evaluates each axis profile once.
+``entropy_residual`` is its one-row case and ``entropy_tolerance`` one bump's
+tolerance, as the table gives it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "make_bump_family",
     "extract_trace",
     "entropy_residual",
-    "entropy_residuals",
     "entropy_tolerance",
     "entropy_table",
 ]
@@ -151,21 +150,11 @@ def extract_trace(traj: Trajectory) -> np.ndarray:
 
 def _cover(nodes: np.ndarray, lo: float, hi: float) -> slice:
     """The slice of ``nodes`` that holds [lo, hi], widened by one node on
-    each side."""
+    each side: rounding in a profile's z map can put the nearest node
+    beyond an end inside the support, but no node further out."""
     start = int(np.searchsorted(nodes, lo, side="left"))
     stop = int(np.searchsorted(nodes, hi, side="right"))
     return slice(max(start - 1, 0), stop + 1)
-
-
-def _support_box(phi: TestFunction, times: np.ndarray, xs: np.ndarray) -> tuple:
-    """Row and column slices of the snapshot grid that hold phi's closed
-    support box, widened by one point on each side.
-
-    phi, phi_t and phi_x vanish outside the slices: a point just beyond an
-    end of the support can land inside it through rounding in a profile's
-    z map, but only within an ulp of the end, i.e. as the nearest point.
-    """
-    return _cover(times, *phi.t_support), _cover(xs, *phi.x_support)
 
 
 def _sup(values: np.ndarray) -> float:
@@ -310,63 +299,22 @@ class _Quadrature:
         return i[0] - self.c * i[1]
 
 
-def entropy_residuals(
-    traj: Trajectory,
-    constants,
-    phi: TestFunction,
-    trace: np.ndarray,
-) -> np.ndarray:
-    """Space-time quadrature of the inequality's left-hand side, one entry
-    per Kruzhkov constant c in ``constants``, for one test function.
-
-    Nonnegative (up to quadrature tolerance) for admissible solutions.  The
-    nonlocal term is dropped when the trajectory was computed with the
-    source disabled (shock-validation runs solve the pure conservation law,
-    whose inequality has no source term).  With |u - c| = sgn(u - c)(u - c),
-    every term is a signed sum (``_signed_sums``): the interior is
-    S[U phi_t] - c S[phi_t] + S[U^3 phi_x] - c^3 S[phi_x] (+ S[P phi]) over
-    the box sorted on U, the boundary term is sorted on g and the initial
-    term on u0, each weighted by the trapezoid weights.  A bump with N box
-    points and K constants costs O((N + K) log N) time and O(N + K) memory.
-    ``phi`` is read only through its supports, ``phi``, ``dphi_dt`` and
-    ``dphi_dx``, so it need not be separable.
-    """
-    q = _Quadrature(traj, constants, trace)
-    q.check_support(phi.t_support, phi.x_support)
-    rows, cols = _support_box(phi, q.times, q.xs)
-    times, xs = q.times[rows], q.xs[cols]
-    return (
-        q.interior(rows, cols, phi.dphi_dt(times, xs), phi.dphi_dx(times, xs),
-                   phi.phi(times, xs) if q.sourced else None)
-        + q.boundary(rows, phi.phi(times, np.array([0.0]))[:, 0])
-        + q.initial(cols, phi.phi(np.array([0.0]), xs)[0])
-    )
-
-
-def entropy_residual(
-    traj: Trajectory,
-    c: float,
-    phi: TestFunction,
-    trace: np.ndarray,
-) -> float:
-    """The inequality's left-hand side for the Kruzhkov constant ``c``: the
-    one-constant case of ``entropy_residuals``."""
-    return float(entropy_residuals(traj, [c], phi, trace)[0])
-
-
 def entropy_table(traj: Trajectory, constants, bumps: list, trace: np.ndarray) -> tuple:
-    """``entropy_residuals`` and ``entropy_tolerance`` of every separable
-    bump in ``bumps`` (a ``make_bump_family``), bit for bit, in one pass:
-    residuals of shape (len(bumps), len(constants)) and tolerances of
-    shape (len(bumps),).
+    """Space-time quadrature of the inequality's left-hand side for every
+    constant in ``constants`` and every separable bump in ``bumps`` (a
+    ``make_bump_family``), and each bump's ``entropy_tolerance``: residuals
+    of shape (len(bumps), len(constants)) and tolerances of shape
+    (len(bumps),).  The source term is left out when the run has none.
 
-    The trajectory is read once, and each distinct profile of an axis is
-    evaluated once on its support box (``_OnBox``); a bump then only forms
-    phi_t = pt' px, phi_x = pt px' (and phi = pt px with the source) on its
-    box as outer products of those tables, the same products the per-bump
-    functions take.  A kt x kx tiling evaluates kt + kx profiles instead of
-    about 12 kt kx, and sums at most 2 kt boundary and 2 kx initial terms
-    instead of kt kx each.
+    With |u - c| = sgn(u - c)(u - c), every term is a signed sum
+    (``_signed_sums``), so a bump with N box points and K constants costs
+    O((N + K) log N) time and O(N + K) memory.  The trajectory is read
+    once, and each distinct profile of an axis is evaluated once on its
+    support box (``_OnBox``); a bump then only forms phi_t = pt' px,
+    phi_x = pt px' (and phi = pt px with the source) on its box as outer
+    products of those tables.  A kt x kx tiling evaluates kt + kx profiles
+    instead of about 12 kt kx, and sums at most 2 kt boundary and 2 kx
+    initial terms instead of kt kx each.
     """
     q = _Quadrature(traj, constants, trace)
     resolution = _resolution(traj)
@@ -393,3 +341,14 @@ def entropy_table(traj: Trajectory, constants, bumps: list, trace: np.ndarray) -
         ) + boundary[b] + initial[i]
         tolerances[k] = _tolerance(resolution, pt, px)
     return residuals, tolerances
+
+
+def entropy_residual(
+    traj: Trajectory,
+    c: float,
+    phi: TestFunction,
+    trace: np.ndarray,
+) -> float:
+    """The inequality's left-hand side for the Kruzhkov constant ``c`` and
+    the bump ``phi``: the one-row ``entropy_table``."""
+    return float(entropy_table(traj, [c], [phi], trace)[0][0, 0])

@@ -575,6 +575,24 @@ class TestStability:
         assert caught == []
         assert capsys.readouterr().err == f"error: {err['message']}\n"
 
+    def test_overflowing_delta_is_an_input_error(self, tmp_path, monkeypatch, capsys):
+        # the perturbation's L1 norm overflows: refused before either run,
+        # with the option named and no numpy warning
+        monkeypatch.setattr(cli, "run", _no_solve)
+        scenario = tiny_scenario(tmp_path)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["stability", "--scenario", str(scenario), "--out", str(out),
+                         "--delta", "1e308"])
+        assert code == 2
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+        err = read_json(out / "error.json")
+        assert err == {"error": "ValueError", "message": "argument --delta: the "
+                       "perturbation's L1 norm overflows, got 1e+308"}
+        assert caught == []
+        assert capsys.readouterr().err == f"error: {err['message']}\n"
+
 
 class TestSweep:
     def test_small_sweep(self, tmp_path):
@@ -681,6 +699,29 @@ class TestScale:
             assert err["error"] == "DataValidationError"
             assert err["violations"] == [f"scenario {scenario}: 'physical.{key}' must "
                                          f"be positive and finite, got {json.loads(value)!r}"]
+
+    @pytest.mark.parametrize("physical", [{"k": 1.0, "c2": 1e200},
+                                          {"k": 1e-300, "c2": 1e300}])
+    def test_overflowing_identity_is_a_failed_run(self, tmp_path, capsys, physical):
+        # c2**2 overflows in a Python float: exit 2 and error.json, not a
+        # traceback
+        scenario = tiny_scenario(tmp_path, physical=physical)
+        out = tmp_path / "out"
+        assert main(["scale", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+        err = read_json(out / "error.json")
+        assert err["error"] == "OverflowError"
+        assert capsys.readouterr().err == f"error: {err['message']}\n"
+
+    def test_constant_beyond_the_float_range_is_an_input_error(self, tmp_path):
+        # D1 = -k / (2 c2) is inf, which JSON cannot spell
+        scenario = tiny_scenario(tmp_path, physical={"k": 1e154, "c2": 1e-160})
+        out = tmp_path / "out"
+        assert main(["scale", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+        assert read_json(out / "error.json") == {
+            "error": "ValueError", "message": "physical: k = 1e+154 and c2 = 1e-160 "
+            "put a scaling constant beyond the float range"}
 
 
 class TestErrors:
@@ -868,6 +909,25 @@ class TestErrors:
         err = read_json(out / "error.json")
         assert err["error"] == "BlowUpError"
         assert err["time"] == 0.0
+
+    @pytest.mark.parametrize("preset", ["bump-derivative", "sine-packet"])
+    def test_overflowing_preset_amplitude_names_it(self, tmp_path, capsys, preset):
+        # the datum or its L1 norm overflows: an input error naming a, and
+        # only the error line on stderr
+        scenario = tiny_scenario(
+            tmp_path, initial={"preset": preset, "params": {"a": 1e308}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["invariants", "--scenario", str(scenario), "--out", str(out)])
+        assert code == 2
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+        err = read_json(out / "error.json")
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"initial preset {preset!r} with a = 1e+308, ")
+        assert err["message"].endswith(": the L1 norm of the datum overflows")
+        assert caught == []
+        assert capsys.readouterr().err == f"error: {err['message']}\n"
 
     def test_memory_error_is_a_failed_run(self, tmp_path, monkeypatch):
         # a run too large for memory ends in exit 2 and error.json, not a

@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from spe.entropy import TestFunction as SeparableBump
 from spe.entropy import (
     BumpProfile,
-    _support_box,
+    _cover,
     entropy_residual,
-    entropy_residuals,
     entropy_table,
     entropy_tolerance,
     extract_trace,
@@ -132,26 +131,6 @@ class TestTrace:
         assert d2 <= d1 * 1.1
 
 
-class Combo:
-    """a*phi1 + b*phi2 on the whole s1 domain, exposed through the
-    TestFunction interface only (supports, phi, dphi_dt, dphi_dx)."""
-
-    t_support = (0.0, 1.0)
-    x_support = (0.0, 10.0)
-
-    def __init__(self, a, phi1, b, phi2):
-        self.a, self.phi1, self.b, self.phi2 = a, phi1, b, phi2
-
-    def phi(self, t, x):
-        return self.a * self.phi1.phi(t, x) + self.b * self.phi2.phi(t, x)
-
-    def dphi_dt(self, t, x):
-        return self.a * self.phi1.dphi_dt(t, x) + self.b * self.phi2.dphi_dt(t, x)
-
-    def dphi_dx(self, t, x):
-        return self.a * self.phi1.dphi_dx(t, x) + self.b * self.phi2.dphi_dx(t, x)
-
-
 class TestEntropyResidual:
     def zero_traj(self, n=64):
         grid = make_uniform_grid(10.0, n)
@@ -188,33 +167,6 @@ class TestEntropyResidual:
         phi = make_bump_family((0.0, 1.0), (0.0, 10.0), (1, 1))[0]
         with pytest.raises(ValueError, match="trace"):
             entropy_residual(traj, 0.0, phi, np.zeros(2))
-
-    def test_linearity_in_test_function(self, s1_traj):
-        fam = make_bump_family((0.0, 1.0), (0.0, 10.0), (3, 3))
-        phi1, phi2 = fam[4], fam[5]
-        c = 0.3
-        trace = extract_trace(s1_traj)
-        a, b = 2.5, 0.75
-        combo_r = entropy_residual(s1_traj, c, Combo(a, phi1, b, phi2), trace)
-        parts = a * entropy_residual(s1_traj, c, phi1, trace) + b * entropy_residual(
-            s1_traj, c, phi2, trace
-        )
-        assert combo_r == pytest.approx(parts, rel=1e-12, abs=1e-12)
-
-    def test_constant_vector_linear_in_test_function(self, s1_traj):
-        # the one-pass evaluation reaches phi only through phi, dphi_dt and
-        # dphi_dx, like the one-constant case
-        fam = make_bump_family((0.0, 1.0), (0.0, 10.0), (3, 3))
-        phi1, phi2 = fam[4], fam[5]
-        trace = extract_trace(s1_traj)
-        constants = [-0.8, -0.1, 0.0, 0.3, 1.2]
-        a, b = 2.5, 0.75
-        combo_r = entropy_residuals(s1_traj, constants, Combo(a, phi1, b, phi2), trace)
-        parts = a * entropy_residuals(s1_traj, constants, phi1, trace) + b * (
-            entropy_residuals(s1_traj, constants, phi2, trace)
-        )
-        assert combo_r.shape == (len(constants),)
-        np.testing.assert_allclose(combo_r, parts, rtol=1e-12, atol=1e-12)
 
     def test_reduces_to_weak_form_below_minimum(self, s1_traj):
         # for c under the global minimum the Kruzhkov residual differs from
@@ -384,7 +336,7 @@ class TestSupportBoxQuadrature:
         traj, g, trace = box_trajectory()
         family = make_bump_family((0.0, t_end), (0.0, x_end), (kt, kx))
         for phi in family:
-            rs = entropy_residuals(traj, constants, phi, trace)
+            rs = entropy_table(traj, constants, [phi], trace)[0][0]
             assert rs.shape == (len(constants),)
             for c, r in zip(constants, rs):
                 ref = full_grid_residual(traj, g, c, phi, trace)
@@ -422,7 +374,7 @@ class TestSupportBoxQuadrature:
             (0.0, traj.config.final_time), (0.0, traj.config.grid.length), (3, 3)
         )
         for phi in family:
-            rs = entropy_residuals(traj, constants, phi, trace)
+            rs = entropy_table(traj, constants, [phi], trace)[0][0]
             for c, r in zip(constants, rs):
                 ref = full_grid_residual(traj, s2_spec.boundary, c, phi, trace)
                 assert abs(r - ref) <= 1e-13 * (1.0 + abs(ref))
@@ -471,7 +423,7 @@ class TestSortedSums:
         # below and above every value of u, g and u0
         constants = [-1.5, *constants, 1.5]
         for phi in make_bump_family((0.0, 1.0), (0.0, 3.0), counts):
-            rs = entropy_residuals(traj, constants, phi, trace)
+            rs = entropy_table(traj, constants, [phi], trace)[0][0]
             assert rs.shape == (len(constants),)
             for c, r in zip(constants, rs):
                 ref = full_grid_residual(traj, g, c, phi, trace)
@@ -484,27 +436,30 @@ class TestSortedSums:
         constants = np.linspace(-1.5, 1.5, 20000)
         tracemalloc.start()
         try:
-            rs = entropy_residuals(traj, constants, phi, trace)
+            rs = entropy_table(traj, constants, [phi], trace)[0][0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         for k in range(0, len(constants), 401):
             ref = full_grid_residual(traj, g, constants[k], phi, trace)
             assert abs(rs[k] - ref) <= 1e-13 * (1.0 + abs(ref))
-        rows, cols = _support_box(phi, traj.times, traj.config.grid.nodes)
+        rows = _cover(traj.times, *phi.t_support)
+        cols = _cover(traj.config.grid.nodes, *phi.x_support)
         box = traj.times[rows].size * traj.config.grid.nodes[cols].size
         assert peak < 8 * len(constants) * box  # one float per constant and point
         assert peak < 64 * 8 * (len(constants) + box)
 
 
 def assert_table_matches_per_bump(traj, constants, bumps, trace):
-    """``entropy_table`` is the per-bump residuals and tolerances bit for bit."""
+    """A family's ``entropy_table`` is, row by row and bit for bit, the
+    one-bump tables of its members."""
     residuals, tolerances = entropy_table(traj, constants, bumps, trace)
     assert residuals.shape == (len(bumps), len(constants))
     assert tolerances.shape == (len(bumps),)
     for k, phi in enumerate(bumps):
-        assert np.array_equal(residuals[k], entropy_residuals(traj, constants, phi, trace))
-        assert tolerances[k] == entropy_tolerance(phi, traj)
+        row, tolerance = entropy_table(traj, constants, [phi], trace)
+        assert np.array_equal(residuals[k], row[0])
+        assert tolerances[k] == tolerance[0] == entropy_tolerance(phi, traj)
 
 
 class TestEntropyTable:

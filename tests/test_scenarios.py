@@ -138,10 +138,10 @@ class TestLoadScenario:
             with pytest.raises(DataValidationError, match="do not match the scenario grid"):
                 parse_scenario(doc)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_file_datum_reports_l1(self, tmp_path):
         # the running primitive of a datum with infinite L1 norm overflows;
-        # the violation is listed instead of a non-finite Field error
+        # the violation is listed instead of a non-finite Field error, and
+        # no numpy warning is printed
         nodes = np.linspace(0, 1, 9)
         field_file = tmp_path / "huge.csv"
         field_file.write_text("x,u\n" + "\n".join(f"{x},1e308" for x in nodes))
@@ -153,8 +153,10 @@ class TestLoadScenario:
             "initial": {"file": str(field_file)},
             "boundary": {"preset": "zero"},
         }
-        with pytest.raises(DataValidationError) as excinfo:
-            parse_scenario(doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataValidationError) as excinfo:
+                parse_scenario(doc)
         assert excinfo.value.violations == [
             "scenario <memory>: initial datum must be integrable (finite L1 norm)"]
 
