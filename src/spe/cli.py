@@ -211,17 +211,21 @@ def _cmd_scale(spec: ScenarioSpec, out: Path, args) -> tuple:
     if spec.physical is None:
         raise DataValidationError(["scale needs a 'physical' block in the scenario"])
     sc = scaling_constants(*spec.physical)
-    values = {
-        "k": sc.k,
-        "c2": sc.c2,
-        "D1": sc.D1,
-        "D2": sc.D2,
-        "identity_product": 2.0 * sc.c2**2 * sc.D1 * sc.D2,
-        "identity_square": sc.c2**2 * sc.k**2 * sc.D2**2,
-    }
+    beyond = (f"physical: k = {sc.k!r} and c2 = {sc.c2!r} put a scaling constant "
+              "beyond the float range")
+    try:  # a float power raises on overflow
+        values = {
+            "k": sc.k,
+            "c2": sc.c2,
+            "D1": sc.D1,
+            "D2": sc.D2,
+            "identity_product": 2.0 * sc.c2**2 * sc.D1 * sc.D2,
+            "identity_square": sc.c2**2 * sc.k**2 * sc.D2**2,
+        }
+    except OverflowError:
+        raise OverflowError(beyond) from None
     if not all(map(math.isfinite, values.values())):  # JSON has no inf or nan
-        raise ValueError(f"physical: k = {sc.k!r} and c2 = {sc.c2!r} put a scaling "
-                         f"constant beyond the float range")
+        raise ValueError(beyond)
     return {"tag": "physical-scaling-map", **values}, True
 
 

@@ -169,7 +169,8 @@ def linfty_check(traj: Trajectory, tol: float = 1e-8) -> CheckRecord:
     """Barrier ||u(t)||_inf <= max(||u0||_inf, sup|g|) + t * max_{s<=t} ||P(s)||_inf.
 
     The base takes the parabolic-boundary maximum of the initial and boundary
-    data; the barrier slope is the measured running sup of the source.
+    data; the barrier slope is the measured running sup of the raw primitive
+    P, not of the source P - <P> that ``scheme.step`` applies (see README).
     """
     base = max(
         lp_norm(traj.initial.u, math.inf),

@@ -15,7 +15,8 @@ stored it, in each snapshot's row of the boundary series.  The checker
 evaluates the left-hand side by space-time trapezoidal quadrature over the
 snapshot grid, summed over phi's support box only, and reports it as the
 residual; admissibility means residual >= -tol with tol scaled by the
-quadrature resolution.
+quadrature resolution.  P is each snapshot's raw primitive, not the P - <P>
+that ``scheme.step`` applies: the check tests the half-line equation.
 
 ``entropy_table`` is the one evaluator: it takes a family of separable
 bumps, reads the trajectory once and evaluates each axis profile once.

@@ -334,12 +334,11 @@ class Workspace:
     """One time level held in plain arrays, advanced in place by ``step``.
 
     ``u`` and ``P`` (the running trapezoid of u) are the solution at time
-    ``t``; ``boundary_gradient`` and ``grad_sq`` are its one-sided du/dx(t,0)
-    and the trapezoidal L2 norm squared of du/dx, and ``g_value`` the
-    boundary datum g(t) the last step imposed.  The remaining arrays are
-    scratch.  Everything is allocated once; a step swaps buffers rather than
-    allocating, so callers must read ``u`` and ``P`` afresh after each step
-    and copy what they keep (``state()`` does).
+    ``t``; ``measure_gradient`` returns its du/dx at x = 0 and L2 norm
+    squared of du/dx.  The remaining arrays are scratch.  Everything is
+    allocated once; a step swaps buffers rather than allocating, so callers
+    must read ``u`` and ``P`` afresh after each step and copy what they keep
+    (``state()`` does).
     """
 
     def __init__(self, grid: Grid, t: float, u: np.ndarray, P: np.ndarray):
@@ -354,17 +353,15 @@ class Workspace:
         # the LAPACK wrappers take a one-element off-diagonal for a single
         # interior node
         self.offdiag = np.empty(max(n - 3, 1))
-        # interior weight with unit trapezoidal integral; it vanishes at both
-        # boundary nodes, so the Dirichlet values survive the projection
+        # interior weight with unit trapezoidal integral, exactly 0 at both
+        # boundary nodes (sin(pi) is not 0), so the projection keeps u(0), u(L)
         self.weight = np.sin(np.pi * grid.nodes / grid.length) ** 2
+        self.weight[[0, -1]] = 0.0
         self.weight /= _trapz(self.weight, grid.dx)
-        self.g_value = math.nan
-        with np.errstate(over="ignore"):
-            self.measure_gradient()
 
-    def measure_gradient(self) -> None:
-        """Set ``boundary_gradient`` and ``grad_sq`` from the current ``u``
-        (``scratch`` is overwritten).
+    def measure_gradient(self) -> tuple[float, float]:
+        """(du/dx(t,0), ||du/dx||^2) of the current ``u`` (``scratch`` is
+        overwritten).
 
         du/dx is the centered difference d_i / (2 dx), d_i = u[i+1] - u[i-1],
         at interior nodes and the one-sided three-point formula at both ends,
@@ -376,9 +373,8 @@ class Workspace:
         d = np.subtract(u[2:], u[:-2], out=self.scratch[:-2])
         left = _one_sided_gradient(u, dx)
         right = _one_sided_gradient(u[::-1], dx)  # mirror image at x = L
-        self.boundary_gradient = left
-        self.grad_sq = (float(np.dot(d, d)) / (4.0 * dx)
-                        + dx / 2.0 * (left * left + right * right))
+        return left, (float(np.dot(d, d)) / (4.0 * dx)
+                      + dx / 2.0 * (left * left + right * right))
 
     def state(self) -> State:
         """The current time level as a State of read-only Fields (copied and
@@ -396,14 +392,14 @@ def step(
     g: BoundaryData,
     *,
     dt: float,
-) -> None:
-    """Advance the ``Workspace`` one time level in place.
+) -> tuple[float, float, float, float]:
+    """Advance the ``Workspace`` one time level in place and return its row.
 
     Explicit upwind advection and explicit gauged source, implicit
     backward-Euler diffusion when eps > 0, Dirichlet enforcement
     u(0) = g(t+dt) and u(L) = 0, zero-mean re-projection, then P is
-    recomputed from the new u and the boundary gradient refreshed with the
-    one-sided three-point formula.
+    recomputed from the new u.  The row is (t, g(t), du/dx(t,0),
+    ||du/dx||^2) of the new level (``Workspace.measure_gradient``).
 
     g(t+dt) is evaluated once, and no Field or State is built.  A time step
     ``dt`` that does not advance t, a failed diffusion factorization or a
@@ -453,8 +449,6 @@ def step(
             # boundary and must not be projected.
             np.multiply(ws.weight, _trapz(new, dx), out=scratch)
             new -= scratch
-            new[0] = g_new
-            new[-1] = 0.0
 
         P_new = _running_trapezoid(new, dx, out=scratch)
         # P_new[-1] sums every node of the new u, so it is finite only if
@@ -465,8 +459,7 @@ def step(
         ws.u, ws.spare = new, u
         ws.P, ws.scratch = P_new, P
         ws.t = t_new
-        ws.g_value = g_new
-        ws.measure_gradient()
+        return (t_new, g_new, *ws.measure_gradient())
 
 
 def run(
@@ -476,7 +469,7 @@ def run(
     *,
     require_zero_mean: bool = True,
 ) -> Trajectory:
-    """Integrate from u0 to final_time, recording snapshots and boundary data.
+    """Integrate from u0 to final_time, recording snapshots and each level's row.
 
     Admissibility: the initial datum must have zero trapezoidal mean within
     ``zero_mean_tolerance`` (set ``require_zero_mean=False`` only for
@@ -506,25 +499,24 @@ def run(
     P0 = cumulative_primitive(u0)
     ws = Workspace(config.grid, 0.0, u0.values, P0.values)
     snapshots = [State(t=0.0, u=u0, P=P0)]
-    series = [(0.0, g0, ws.boundary_gradient)]
-    grad_sq = [ws.grad_sq]
+    with np.errstate(over="ignore"):
+        rows = [(0.0, g0, *ws.measure_gradient())]
     dts = []
 
     for target in config.snapshot_times[1:]:  # 0.0 is already recorded
         landed = False
         while not landed:
             dt = min(stable_dt(ws, config), target - ws.t)
-            step(ws, config, g, dt=dt)
+            rows.append(step(ws, config, g, dt=dt))
             dts.append(dt)
-            series.append((ws.t, ws.g_value, ws.boundary_gradient))
-            grad_sq.append(ws.grad_sq)
             landed = ws.t >= target - LANDING_TOL
         snapshots.append(ws.state())
 
+    rows = np.asarray(rows)
     return Trajectory(
         config=config,
         snapshots=tuple(snapshots),
-        boundary_series=np.asarray(series),
-        grad_sq_series=np.asarray(grad_sq),
+        boundary_series=rows[:, :3],
+        grad_sq_series=rows[:, 3],
         step_log=np.asarray(dts),
     )

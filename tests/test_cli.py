@@ -59,6 +59,12 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def _readme_section(pattern):
+    """The first group of ``pattern`` in README.md (``re.S``)."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return re.search(pattern, text, re.S)[1]
+
+
 class TestSolve:
     def test_artifacts_and_determinism(self, tmp_path):
         scenario = tiny_scenario(tmp_path)
@@ -712,6 +718,9 @@ class TestScale:
         err = read_json(out / "error.json")
         assert err["error"] == "OverflowError"
         assert capsys.readouterr().err == f"error: {err['message']}\n"
+        assert err["message"] == (f"physical: k = {physical['k']!r} and c2 = "
+                                  f"{physical['c2']!r} put a scaling constant "
+                                  f"beyond the float range")
 
     def test_constant_beyond_the_float_range_is_an_input_error(self, tmp_path):
         # D1 = -k / (2 c2) is inf, which JSON cannot spell
@@ -1172,10 +1181,46 @@ class TestOptionContract:
         assert defaults.epsilons == (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
         assert (defaults.constants, defaults.bumps) == (5, (3, 3))
         assert (defaults.delta, defaults.stability_R) == (1e-2, 4.0)
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
-        lines = [line for line in block.split("```", 1)[0].splitlines()
-                 if line.startswith("spe ")]
+        block = _readme_section(r"## Command line.*?```sh\n(.*?)```")
+        lines = [line for line in block.splitlines() if line.startswith("spe ")]
         assert lines
         for line in lines:
             parser.parse_args(shlex.split(line)[1:])
+
+
+class TestReadmeTables:
+    """README's scenario schema and command-line tables name what the code
+    declares, no more and no less.  (CI runs its quickstart and its ``spe``
+    lines.)"""
+
+    def schema_section(self):
+        return _readme_section(r"### Scenario schema\n(.*?)\n## ")
+
+    def test_schema_example_parses(self):
+        example = re.search(r"```json\n(.*?)```", self.schema_section(), re.S)[1]
+        parse_scenario(json.loads(example), source="README scenario schema")
+
+    def test_schema_table_matches_schema_and_presets(self):
+        section = self.schema_section()
+        keys = [f"{block + '.' if block else ''}{key}"
+                for block, names in _SCHEMA.items() for key in names]
+        assert [key for key in keys if f"`{key}`" not in section] == []
+        rows = [line for line in section.splitlines() if line.startswith("|")]
+        assert [(block, preset, sorted(params))
+                for block, presets in _PRESETS.items()
+                for preset, params in presets.items()
+                if not any(f"{block} preset `{preset}`" in row
+                           and all(f"`{name}`" in row for name in params)
+                           for row in rows)] == []
+        named = [m[1] for m in map(re.compile(r"\| `([^`]*)` \|").match, rows) if m]
+        assert named
+        assert [key for key in named if key not in keys] == []
+
+    def test_command_line_table_matches_parser(self):
+        section = _readme_section(r"## Command line\n(.*?)\n### ")
+        declared = [option for action in cli.build_parser()._actions
+                    for option in action.option_strings if option.startswith("--")]
+        assert [option for option in declared if f"| `{option}` |" not in section] == []
+        rows = re.findall(r"^\| `(--[^`]*)` \|", section, re.M)
+        assert rows
+        assert [option for option in rows if option not in declared] == []

@@ -234,6 +234,14 @@ class TestStep:
             assert ws.u[0] == g(ws.t)
             assert ws.u[-1] == 0.0
 
+    @pytest.mark.parametrize("n", [2, 3, 64, 2000])
+    def test_projection_weight_is_zero_at_both_ends(self, n):
+        # sin(pi)^2 is about 1.5e-32, not 0: the ends are set, so that the
+        # projection keeps the Dirichlet values without setting them again
+        ws = make_workspace(make_uniform_grid(10.0, n), np.zeros(n + 1))
+        assert (ws.weight[0], ws.weight[-1]) == (0.0, 0.0)
+        assert np.all(ws.weight[1:-1] > 0.0)
+
     def test_primitive_synchronized(self):
         grid = make_uniform_grid(10.0, 100)
         config = SolverConfig(eps=1e-2, grid=grid, final_time=0.5)
@@ -260,11 +268,11 @@ class TestGradientMeasurements:
         grads.append((3 * u[n] - 4 * u[n - 1] + u[n - 2]) / (2 * dx))
         squares = [gr * gr for gr in grads]
         grad_sq = dx * (0.5 * squares[0] + sum(squares[1:-1]) + 0.5 * squares[-1])
-        assert ws.boundary_gradient == pytest.approx(grads[0], rel=1e-13)
-        assert ws.grad_sq == pytest.approx(grad_sq, rel=1e-13)
+        gradient, measured = ws.measure_gradient()
+        assert gradient == pytest.approx(grads[0], rel=1e-13)
+        assert measured == pytest.approx(grad_sq, rel=1e-13)
         ws.u = -2.0 * ws.u
-        ws.measure_gradient()
-        assert ws.grad_sq == pytest.approx(4.0 * grad_sq, rel=1e-13)
+        assert ws.measure_gradient()[1] == pytest.approx(4.0 * grad_sq, rel=1e-13)
 
 
 class TestRun:
@@ -431,14 +439,15 @@ class TestKernelProperties:
         g = BoundaryData(g=lambda t: g0, sup_bound=abs(g0))
         # a step that ends by final_time, as run would take it
         dt = dt_fraction * min(stable_dt(ws, config), config.final_time)
-        step(ws, config, g, dt=dt)
+        row = step(ws, config, g, dt=dt)
         assert ws.t == dt
         assert ws.u[0] == g0
         assert ws.u[-1] == 0.0
         new = ws.state()
         assert abs(mean(new.u)) <= 1e-13 * lp_norm(new.u, 1)
         assert np.isfinite(ws.u).all() and np.isfinite(ws.P).all()
-        assert np.isfinite(ws.boundary_gradient)
+        assert row[:2] == (dt, g0)
+        assert np.isfinite(row[2:]).all()
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -498,15 +507,15 @@ class TestKernelProperties:
 
         ws = make_workspace(grid, u0.values)
         by_time = {ws.t: (ws.u.copy(), ws.P.copy())}
-        rows = [(ws.t, g(ws.t), ws.boundary_gradient)]
-        grad_sq = [ws.grad_sq]
+        rows = [(ws.t, g(ws.t), *ws.measure_gradient())]
         for dt in traj.step_log:
-            step(ws, traj.config, g, dt=float(dt))
+            row = step(ws, traj.config, g, dt=float(dt))
             by_time[ws.t] = (ws.u.copy(), ws.P.copy())
-            rows.append((ws.t, g(ws.t), ws.boundary_gradient))
-            grad_sq.append(ws.grad_sq)
-        assert np.array_equal(np.asarray(rows), traj.boundary_series)
-        assert np.array_equal(np.asarray(grad_sq), traj.grad_sq_series)
+            assert row[:2] == (ws.t, g(ws.t))
+            rows.append(row)
+        rows = np.asarray(rows)
+        assert np.array_equal(rows[:, :3], traj.boundary_series)
+        assert np.array_equal(rows[:, 3], traj.grad_sq_series)
         for snap in traj.snapshots:
             u, P = by_time[snap.t]
             assert np.array_equal(snap.u.values, u)
