@@ -18,10 +18,11 @@ residual; admissibility means residual >= -tol with tol scaled by the
 quadrature resolution.  P is each snapshot's raw primitive, not the P - <P>
 that ``scheme.step`` applies: the check tests the half-line equation.
 
-``entropy_table`` is the one evaluator: it takes a family of separable
-bumps, reads the trajectory once and evaluates each axis profile once.
-``entropy_residual`` is its one-row case and ``entropy_tolerance`` one bump's
-tolerance, as the table gives it.
+A test function is a separable bump, the pair (pt, px) of a time and a
+space profile (``TestFunction``).  ``entropy_table`` is the one evaluator and
+the only code that samples a profile on the snapshot grid: it takes a family
+of bumps, reads the trajectory once and evaluates each axis profile once.
+``entropy_residual`` and ``entropy_tolerance`` are both its one-row case.
 """
 
 from __future__ import annotations
@@ -86,27 +87,11 @@ class BumpProfile:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Separable nonnegative bump phi(t, x) = pt(t) * px(x)."""
+    """Separable nonnegative bump phi(t, x) = pt(t) * px(x), supported on
+    [pt.lo, pt.hi] x [px.lo, px.hi]."""
 
     pt: BumpProfile
     px: BumpProfile
-
-    @property
-    def t_support(self) -> tuple:
-        return (self.pt.lo, self.pt.hi)
-
-    @property
-    def x_support(self) -> tuple:
-        return (self.px.lo, self.px.hi)
-
-    def phi(self, t, x):
-        return np.outer(self.pt.value(t), self.px.value(x))
-
-    def dphi_dt(self, t, x):
-        return np.outer(self.pt.derivative(t), self.px.value(x))
-
-    def dphi_dx(self, t, x):
-        return np.outer(self.pt.value(t), self.px.derivative(x))
 
 
 def _axis_profiles(lo: float, hi: float, count: int) -> list:
@@ -183,35 +168,6 @@ class _OnBox:
                    float(profile.value(0.0)))
 
 
-def _resolution(traj: Trajectory) -> float:
-    """dx + dt_snap, the quadrature resolution the tolerance scales with."""
-    return traj.config.grid.dx + float(np.max(np.diff(traj.times)))
-
-
-def _tolerance(resolution: float, pt: _OnBox, px: _OnBox) -> float:
-    """10 * resolution * max(sup|phi|, sup|phi_t|, sup|phi_x|) of
-    phi = pt * px on its support box (``entropy_tolerance``)."""
-    scale = max(pt.sup * px.sup, pt.sup_derivative * px.sup, pt.sup * px.sup_derivative)
-    return 10.0 * resolution * scale
-
-
-def entropy_tolerance(phi: TestFunction, traj: Trajectory) -> float:
-    """Quadrature tolerance 10 * (dx + dt_snap) * scale(phi).
-
-    scale(phi) is the largest of sup|phi|, sup|phi_t|, sup|phi_x| over the
-    snapshot-grid quadrature points, taken over phi's support box (the
-    other points hold exact zeros).  phi = pt * px is separable, so each
-    sup is a product of the sups of two profiles on the box's times and
-    nodes; rounding is monotone, so this is the sup over the outer product
-    bit for bit.  The constant 10 is validated against the exact
-    moving-shock solution of the source-free cubic conservation law (see
-    the acceptance suite).
-    """
-    pt = _OnBox.of(phi.pt, traj.times)
-    px = _OnBox.of(phi.px, traj.config.grid.nodes)
-    return _tolerance(_resolution(traj), pt, px)
-
-
 def _signed_sums(keys: np.ndarray, weights: list, constants: np.ndarray) -> np.ndarray:
     """Sum of sgn(keys - c) * w for each array w in ``weights`` (the shape of
     ``keys``) and each constant c: the weights of the keys above c less
@@ -260,11 +216,11 @@ class _Quadrature:
         self.c = np.asarray(constants, dtype=float)
         self.c3 = self.c**3
 
-    def check_support(self, t_support: tuple, x_support: tuple) -> None:
+    def check_support(self, phi: TestFunction) -> None:
         tol = 1e-9
         T, L = self.ends
-        if not (-tol <= t_support[0] and t_support[1] <= T + tol
-                and -tol <= x_support[0] and x_support[1] <= L + tol):
+        if not (-tol <= phi.pt.lo and phi.pt.hi <= T + tol
+                and -tol <= phi.px.lo and phi.px.hi <= L + tol):
             raise ValueError("test function support exceeds the computed domain")
 
     def interior(self, rows: slice, cols: slice, phi_t, phi_x, phi) -> np.ndarray:
@@ -303,9 +259,19 @@ class _Quadrature:
 def entropy_table(traj: Trajectory, constants, bumps: list, trace: np.ndarray) -> tuple:
     """Space-time quadrature of the inequality's left-hand side for every
     constant in ``constants`` and every separable bump in ``bumps`` (a
-    ``make_bump_family``), and each bump's ``entropy_tolerance``: residuals
-    of shape (len(bumps), len(constants)) and tolerances of shape
-    (len(bumps),).  The source term is left out when the run has none.
+    ``make_bump_family``), and each bump's tolerance: residuals of shape
+    (len(bumps), len(constants)) and tolerances of shape (len(bumps),).
+    The source term is left out when the run has none.
+
+    A bump's tolerance is 10 * (dx + dt_snap) * scale(phi), where scale(phi)
+    is the largest of sup|phi|, sup|phi_t|, sup|phi_x| over the
+    snapshot-grid quadrature points, taken over phi's support box (the
+    other points hold exact zeros).  phi = pt * px is separable, so each
+    sup is a product of the sups of two profiles on the box's times and
+    nodes; rounding is monotone, so this is the sup over the outer product
+    bit for bit.  The constant 10 is validated against the exact
+    moving-shock solution of the source-free cubic conservation law (see
+    the acceptance suite).
 
     With |u - c| = sgn(u - c)(u - c), every term is a signed sum
     (``_signed_sums``), so a bump with N box points and K constants costs
@@ -318,7 +284,8 @@ def entropy_table(traj: Trajectory, constants, bumps: list, trace: np.ndarray) -
     initial terms instead of kt kx each.
     """
     q = _Quadrature(traj, constants, trace)
-    resolution = _resolution(traj)
+    # dx + dt_snap, the quadrature resolution the tolerance scales with
+    resolution = traj.config.grid.dx + float(np.max(np.diff(q.times)))
     # each distinct profile of an axis, on its box of that axis's points
     on_t = {p: _OnBox.of(p, q.times) for p in {phi.pt for phi in bumps}}
     on_x = {p: _OnBox.of(p, q.xs) for p in {phi.px for phi in bumps}}
@@ -328,7 +295,7 @@ def entropy_table(traj: Trajectory, constants, bumps: list, trace: np.ndarray) -
     residuals = np.empty((len(bumps), len(q.c)))
     tolerances = np.empty(len(bumps))
     for k, phi in enumerate(bumps):
-        q.check_support(phi.t_support, phi.x_support)
+        q.check_support(phi)
         pt, px = on_t[phi.pt], on_x[phi.px]
         b, i = (phi.pt, px.at_zero), (phi.px, pt.at_zero)
         if b not in boundary:
@@ -340,7 +307,8 @@ def entropy_table(traj: Trajectory, constants, bumps: list, trace: np.ndarray) -
             np.outer(pt.derivative, px.value), np.outer(pt.value, px.derivative),
             np.outer(pt.value, px.value) if q.sourced else None,
         ) + boundary[b] + initial[i]
-        tolerances[k] = _tolerance(resolution, pt, px)
+        scale = max(pt.sup * px.sup, pt.sup_derivative * px.sup, pt.sup * px.sup_derivative)
+        tolerances[k] = 10.0 * resolution * scale
     return residuals, tolerances
 
 
@@ -353,3 +321,9 @@ def entropy_residual(
     """The inequality's left-hand side for the Kruzhkov constant ``c`` and
     the bump ``phi``: the one-row ``entropy_table``."""
     return float(entropy_table(traj, [c], [phi], trace)[0][0, 0])
+
+
+def entropy_tolerance(phi: TestFunction, traj: Trajectory) -> float:
+    """The quadrature tolerance of the bump ``phi`` on ``traj``'s snapshot
+    grid: the one-row ``entropy_table``, for any constant."""
+    return float(entropy_table(traj, [0.0], [phi], extract_trace(traj))[1][0])

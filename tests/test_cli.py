@@ -231,6 +231,31 @@ class TestOutputTree:
         assert read_json(out / "error.json") == {
             "error": "OSError", "message": "disk full writing snapshot_002.csv"}
 
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        # the first rename of a finished temporary file fails: it is removed,
+        # and error.json (the next write) is renamed as usual
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine\n")
+        calls = []
+
+        def fail_first(src, dst):
+            calls.append(Path(dst).name)
+            if len(calls) == 1:
+                raise OSError(f"cannot rename onto {Path(dst).name}")
+            return rename(src, dst)
+
+        rename = cli.os.replace
+        monkeypatch.setattr(cli.os, "replace", fail_first)
+        scenario = str(tiny_scenario(tmp_path))
+        assert main(["solve", "--scenario", scenario, "--out", str(out)]) == 2
+        assert calls == ["snapshot_000.csv", "error.json"]
+        assert sorted(tree(out)) == ["error.json", "notes.txt"]
+        assert not list(out.glob("*.tmp"))
+        assert (out / "notes.txt").read_text() == "mine\n"
+        assert read_json(out / "error.json") == {
+            "error": "OSError", "message": "cannot rename onto snapshot_000.csv"}
+
     def test_invariants_after_solve_leaves_only_its_report(self, tmp_path):
         scenario = str(tiny_scenario(tmp_path))
         out = tmp_path / "out"
@@ -949,6 +974,27 @@ class TestErrors:
         assert main(["solve", "--scenario", str(tiny_scenario(tmp_path)),
                      "--out", str(out)]) == 2
         assert read_json(out / "error.json")["error"] == "MemoryError"
+
+    @pytest.mark.parametrize("T", [0, -1, math.nan])
+    def test_nonpositive_final_time_is_an_input_error(self, tmp_path, capsys, T):
+        scenario = tiny_scenario(tmp_path, time={"T": T})
+        out = tmp_path / "out"
+        assert main(["solve", "--scenario", str(scenario), "--out", str(out)]) == 2
+        message = "final_time must be positive and finite"
+        assert read_json(out / "error.json") == {"error": "ValueError", "message": message}
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_out_that_is_a_file_exits_2_and_keeps_it(self, tmp_path, capsys):
+        # neither scale.json nor error.json can be written under a regular
+        # file; the failure to write error.json is not a second error
+        out = tmp_path / "out"
+        out.write_text("mine\n")
+        scenario = str(builtin_scenario_path("s1"))
+        assert main(["scale", "--scenario", scenario, "--out", str(out)]) == 2
+        assert out.read_text() == "mine\n"
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_completed_command_removes_an_earlier_error(self, tmp_path):
         # error.json describes the last command into --out, not an earlier one

@@ -2,6 +2,7 @@
 physical scaling map."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,6 +178,11 @@ class TestStabilityCompare:
         # e^(Ct) beyond the largest float: a typed error, not OverflowError
         with pytest.raises(ValueError, match="overflows"):
             stability_compare(s1_traj, s1_traj, window=4.0, C=1e4)
+
+    def test_mismatched_snapshot_times_rejected(self, s1_traj):
+        shorter = replace(s1_traj, snapshots=s1_traj.snapshots[:-1])
+        with pytest.raises(ValueError, match="must share snapshot times"):
+            stability_compare(s1_traj, shorter, window=4.0, C=5.0)
 
     def test_mismatched_grids_rejected(self, s1_traj, s1_traj_1000):
         with pytest.raises(ValueError):

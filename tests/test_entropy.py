@@ -25,6 +25,16 @@ from spe.fields import Field, cumulative_primitive, make_uniform_grid
 from spe.scheme import BoundaryData, SolverConfig, State, Trajectory, run
 
 
+def on_grid(phi, t, x):
+    """phi, phi_t and phi_x of the bump ``phi`` at every point of the grid
+    ``t`` x ``x`` (arrays or scalars), as outer products of its profiles:
+    the full-grid reference the support-box quadrature is checked against."""
+    t, x = np.atleast_1d(t), np.atleast_1d(x)
+    return (np.outer(phi.pt.value(t), phi.px.value(x)),
+            np.outer(phi.pt.derivative(t), phi.px.value(x)),
+            np.outer(phi.pt.value(t), phi.px.derivative(x)))
+
+
 def synthetic_trajectory(grid, times, profiles, g, eps=0.0, include_source=True):
     """Assemble a Trajectory directly from given snapshot profiles."""
     config = SolverConfig(
@@ -54,9 +64,9 @@ class TestBumpFamily:
         (phi,) = make_bump_family((0.0, 1.0), (0.0, 1.0), (1, 1))
         ts = np.linspace(0, 1, 101)
         xs = np.linspace(0, 1, 101)
-        vals = phi.phi(ts, xs)
+        vals = on_grid(phi, ts, xs)[0]
         assert vals.min() >= 0.0
-        assert phi.phi(np.array([0.5]), np.array([0.5]))[0, 0] == 1.0
+        assert on_grid(phi, 0.5, 0.5)[0][0, 0] == 1.0
         assert vals.max() <= 1.0
 
     def test_family_counts_and_edge_members(self):
@@ -64,16 +74,16 @@ class TestBumpFamily:
         assert len(fam) == 9
         # first time-tile and first space-tile touch the axes with value 1
         corner = fam[0]
-        assert corner.phi(np.array([0.0]), np.array([0.0]))[0, 0] == 1.0
+        assert on_grid(corner, 0.0, 0.0)[0][0, 0] == 1.0
         interior = fam[4]
-        assert interior.phi(np.array([0.0]), np.array([0.0]))[0, 0] == 0.0
+        assert on_grid(interior, 0.0, 0.0)[0][0, 0] == 0.0
 
     def test_time_derivative_integrates_to_zero_interior(self):
         fam = make_bump_family((0.0, 1.0), (0.0, 1.0), (3, 3))
         phi = fam[4]  # interior in both axes
         ts = np.linspace(0, 1, 2001)
         xs = np.linspace(0, 1, 201)
-        dphi = phi.dphi_dt(ts, xs)
+        dphi = on_grid(phi, ts, xs)[1]
         integral = np.trapezoid(np.trapezoid(dphi, ts, axis=0), xs)
         assert abs(integral) < 1e-6
 
@@ -83,9 +93,14 @@ class TestBumpFamily:
         phi = make_bump_family((0.0, 1.0), (0.0, 2.0), (1, 1))[0]
         ts = np.linspace(0, 1, 2001)
         xs = np.linspace(0, 2, 2001)
-        mass = np.trapezoid(np.trapezoid(phi.phi(ts, xs), ts, axis=0), xs)
+        mass = np.trapezoid(np.trapezoid(on_grid(phi, ts, xs)[0], ts, axis=0), xs)
         expected = (32.0 / 35.0) * 0.5 * (32.0 / 35.0) * 1.0
         assert mass == pytest.approx(expected, abs=1e-6)
+
+    def test_profile_support_must_have_positive_length(self):
+        for lo, hi in ((1.0, 1.0), (1.0, 0.5), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="positive length"):
+                BumpProfile(lo, hi)
 
     def test_counts_validated(self):
         with pytest.raises(ValueError):
@@ -155,12 +170,16 @@ class TestEntropyResidual:
         assert abs(r) < 5e-3
 
     def test_support_validation(self):
+        # the residual and the tolerance refuse a bump that leaves the
+        # domain [0, 1] x [0, 10] on any side
         traj = self.zero_traj()
-        phi = SeparableBump(
-            pt=BumpProfile(0.0, 2.0), px=BumpProfile(0.0, 5.0)
-        )  # extends past final_time = 1
-        with pytest.raises(ValueError):
-            entropy_residual(traj, 0.0, phi, extract_trace(traj))
+        for pt, px in [((0.0, 2.0), (0.0, 5.0)), ((-0.5, 0.5), (0.0, 5.0)),
+                       ((0.0, 1.0), (5.0, 11.0)), ((0.0, 1.0), (-1.0, 5.0))]:
+            phi = SeparableBump(pt=BumpProfile(*pt), px=BumpProfile(*px))
+            with pytest.raises(ValueError, match="support exceeds"):
+                entropy_residual(traj, 0.0, phi, extract_trace(traj))
+            with pytest.raises(ValueError, match="support exceeds"):
+                entropy_tolerance(phi, traj)
 
     def test_trace_alignment_validated(self):
         traj = self.zero_traj()
@@ -190,20 +209,19 @@ class TestEntropyResidual:
         wx[0] *= 0.5
         wx[-1] *= 0.5
         W = np.outer(wt, wx)
+        Phi, Phi_t, Phi_x = on_grid(phi, times, xs)
+        phi_t0 = on_grid(phi, times, 0.0)[0][:, 0]
+        phi_0x = on_grid(phi, 0.0, xs)[0][0]
         # discrete FTC defects of the quadrature (nonzero, but c-independent)
-        A = np.sum(W * phi.dphi_dt(times, xs)) + np.sum(
-            wx * phi.phi(np.array([0.0]), xs)[0]
-        )
-        B = np.sum(W * phi.dphi_dx(times, xs)) + np.sum(
-            wt * phi.phi(times, np.array([0.0]))[:, 0]
-        )
+        A = np.sum(W * Phi_t) + np.sum(wx * phi_0x)
+        B = np.sum(W * Phi_x) + np.sum(wt * phi_t0)
         U = np.stack([s.u.values for s in s1_traj.snapshots])
         P = np.stack([s.P.values for s in s1_traj.snapshots])
         weak = (
-            np.sum(W * (U * phi.dphi_dt(times, xs) + U**3 * phi.dphi_dx(times, xs)))
-            + np.sum(W * P * phi.phi(times, xs))
-            + np.sum(wt * trace**3 * phi.phi(times, np.array([0.0]))[:, 0])
-            + np.sum(wx * s1_traj.initial.u.values * phi.phi(np.array([0.0]), xs)[0])
+            np.sum(W * (U * Phi_t + U**3 * Phi_x))
+            + np.sum(W * P * Phi)
+            + np.sum(wt * trace**3 * phi_t0)
+            + np.sum(wx * s1_traj.initial.u.values * phi_0x)
         )
         for c in (m - 0.5, m - 1.5):
             r = entropy_residual(s1_traj, c, phi, trace)
@@ -217,11 +235,7 @@ class TestEntropyResidual:
         times = np.array([s.t for s in s1_traj.snapshots])
         dt = float(np.max(np.diff(times)))
         xs = s1_traj.config.grid.nodes
-        scale = max(
-            float(np.max(np.abs(phi.phi(times, xs)))),
-            float(np.max(np.abs(phi.dphi_dt(times, xs)))),
-            float(np.max(np.abs(phi.dphi_dx(times, xs)))),
-        )
+        scale = max(float(np.max(np.abs(v))) for v in on_grid(phi, times, xs))
         assert tol == pytest.approx(10.0 * (dx + dt) * scale, rel=1e-12)
         assert tol > 0.0
 
@@ -242,22 +256,21 @@ def full_grid_residual(traj, g, c, phi, trace):
     wx[0] *= 0.5
     wx[-1] *= 0.5
     W = np.outer(wt, wx)
+    Phi, Phi_t, Phi_x = on_grid(phi, times, xs)
     sgn = np.sign(U - c)
     interior = np.sum(
-        W * (np.abs(U - c) * phi.dphi_dt(times, xs)
-             + sgn * (U**3 - c**3) * phi.dphi_dx(times, xs))
+        W * (np.abs(U - c) * Phi_t + sgn * (U**3 - c**3) * Phi_x)
     )
     source = 0.0
     if traj.config.include_source:
         P = np.stack([s.P.values for s in traj.snapshots])
-        source = np.sum(W * sgn * P * phi.phi(times, xs))
+        source = np.sum(W * sgn * P * Phi)
     g_vals = np.array([g(t) for t in times])
     boundary = np.sum(
-        wt * np.sign(g_vals - c) * (trace**3 - c**3)
-        * phi.phi(times, np.array([0.0]))[:, 0]
+        wt * np.sign(g_vals - c) * (trace**3 - c**3) * on_grid(phi, times, 0.0)[0][:, 0]
     )
     initial = np.sum(
-        wx * np.abs(traj.initial.u.values - c) * phi.phi(np.array([0.0]), xs)[0]
+        wx * np.abs(traj.initial.u.values - c) * on_grid(phi, 0.0, xs)[0][0]
     )
     return float(interior + source + boundary + initial)
 
@@ -266,11 +279,7 @@ def full_grid_tolerance(phi, traj):
     times = np.array([s.t for s in traj.snapshots])
     xs = traj.config.grid.nodes
     dt_snap = float(np.max(np.diff(times)))
-    scale = max(
-        float(np.max(np.abs(phi.phi(times, xs)))),
-        float(np.max(np.abs(phi.dphi_dt(times, xs)))),
-        float(np.max(np.abs(phi.dphi_dx(times, xs)))),
-    )
+    scale = max(float(np.max(np.abs(v))) for v in on_grid(phi, times, xs))
     return 10.0 * (traj.config.grid.dx + dt_snap) * scale
 
 
@@ -443,8 +452,8 @@ class TestSortedSums:
         for k in range(0, len(constants), 401):
             ref = full_grid_residual(traj, g, constants[k], phi, trace)
             assert abs(rs[k] - ref) <= 1e-13 * (1.0 + abs(ref))
-        rows = _cover(traj.times, *phi.t_support)
-        cols = _cover(traj.config.grid.nodes, *phi.x_support)
+        rows = _cover(traj.times, phi.pt.lo, phi.pt.hi)
+        cols = _cover(traj.config.grid.nodes, phi.px.lo, phi.px.hi)
         box = traj.times[rows].size * traj.config.grid.nodes[cols].size
         assert peak < 8 * len(constants) * box  # one float per constant and point
         assert peak < 64 * 8 * (len(constants) + box)
@@ -504,6 +513,14 @@ class TestEntropyTable:
         family = make_bump_family((0.0, 1.0), (0.0, 1.0), (3, 3))
         assert {phi.pt for phi in family} == {phi.px for phi in family}
         assert_table_matches_per_bump(traj, [-0.3, 0.0, 0.5], family, trace)
+
+    def test_matches_per_bump_on_criterion_6(self, s1_eps3_traj):
+        # the acceptance suite's entropy check calls entropy_tolerance bump
+        # by bump, on the exact shock and on s1 at eps = 1e-3
+        for traj, T in ((shock_trajectory(1.0, 0.0, 1.0), 0.2), (s1_eps3_traj, 1.0)):
+            bumps = make_bump_family((0.0, T), (0.0, 10.0), (3, 3))
+            assert_table_matches_per_bump(
+                traj, np.linspace(-1.0, 1.0, 5), bumps, extract_trace(traj))
 
 
 def shock_trajectory(left, right, speed):

@@ -38,6 +38,10 @@ class TestPresetInitial:
         assert abs(mean(u0)) <= 1e-12
         assert lp_norm(u0, math.inf) <= 0.5 * (1 + 1e-6)
 
+    def test_packet_support_rule(self):
+        with pytest.raises(ValueError, match="packet support must stay inside"):
+            preset_initial("sine-packet", {"a": 0.5, "x0": 4.0, "w": 2.0, "m": 2}, GRID)
+
     def test_riemann_step(self):
         u0 = preset_initial("riemann-test", {"left": 1.0, "right": 0.0, "jump": 0.5}, GRID)
         x = GRID.nodes
@@ -119,6 +123,13 @@ class TestLoadScenario:
             "boundary": {"preset": "zero"},
         }
         with pytest.raises(DataValidationError, match="zero-mean"):
+            parse_scenario(doc)
+
+    def test_field_file_of_one_column_rejected(self, s1_doc, tmp_path):
+        field_file = tmp_path / "u0.csv"
+        field_file.write_text("x\n0.0\n0.5\n1.0\n")
+        doc = {**s1_doc, "initial": {"file": str(field_file)}}
+        with pytest.raises(DataValidationError, match="field file needs columns x,u"):
             parse_scenario(doc)
 
     @pytest.mark.parametrize("scale, accepted", [(1 + 9e-11, True), (1 + 9e-6, False)],

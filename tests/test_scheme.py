@@ -161,6 +161,13 @@ class TestBoundaryData:
 
 
 class TestStep:
+    def test_state_at_final_time_is_refused(self):
+        grid = make_uniform_grid(10.0, 64)
+        config = SolverConfig(eps=1e-2, grid=grid, final_time=1.0)
+        ws = make_workspace(grid, np.zeros(65), t=1.0)
+        with pytest.raises(ValueError, match="already at or beyond final_time"):
+            step(ws, config, BoundaryData.zero(), dt=0.01)
+
     def test_zero_fixed_point(self):
         grid = make_uniform_grid(10.0, 64)
         config = SolverConfig(eps=1e-2, grid=grid, final_time=1.0)
@@ -348,6 +355,12 @@ class TestRun:
         assert traj.boundary_series.shape == (len(traj.step_log) + 1, 3)
         assert len(traj.grad_sq_series) == len(traj.step_log) + 1
         assert np.all(traj.step_log > 0.0)
+
+    def test_initial_datum_on_another_grid_rejected(self):
+        config = SolverConfig(eps=1e-2, grid=make_uniform_grid(10.0, 64), final_time=0.2)
+        u0 = Field(make_uniform_grid(10.0, 32), np.zeros(33))
+        with pytest.raises(DataValidationError, match="lives on a different grid"):
+            run(u0, BoundaryData.zero(), config)
 
     def test_nonzero_mean_rejected(self):
         grid = make_uniform_grid(10.0, 64)
@@ -543,6 +556,17 @@ class TestBlowUpAtSource:
             with pytest.raises(BlowUpError) as excinfo:
                 step(ws, config, BoundaryData.zero(), dt=dt)
             assert excinfo.value.time == 1.0
+
+    def test_failed_diffusion_solve_raises_with_time(self, monkeypatch):
+        # a factorization that reports a nonpositive pivot (info = 2)
+        grid = self.grid()
+        config = SolverConfig(eps=1e-2, grid=grid, final_time=1.0)
+        ws = make_workspace(grid, np.sin(grid.nodes), t=0.25)
+        monkeypatch.setattr(scheme, "_factor_diffusion", lambda d, e, r: 2)
+        message = r"diffusion solve failed \(LAPACK info=2\)"
+        with pytest.raises(BlowUpError, match=message) as excinfo:
+            step(ws, config, BoundaryData.zero(), dt=0.125)
+        assert excinfo.value.time == 0.375
 
     def test_overflowing_flux_raises_and_keeps_the_workspace(self):
         # u^2 is finite (so is the CFL step) but the flux u^3 overflows;

@@ -114,6 +114,10 @@ MUTANTS = [
      "                _remove_outputs(out, inputs)\n                if", "                if",
      ["tests/test_cli.py::TestOutputTree::"
       "test_write_failure_leaves_no_file_of_either_run"]),
+    # a failed write leaves its temporary file beside the outputs
+    ("atomic-write-keeps-temp", CLI,
+     "            os.unlink(tmp)\n", "            pass\n",
+     ["tests/test_cli.py::TestOutputTree::test_failed_rename_leaves_no_temporary_file"]),
     ("files-keep-the-temporary-mode", CLI,
      "            os.fchmod(fh.fileno(), 0o666 & ~umask)\n", "",
      ["tests/test_cli.py::TestErrors::test_files_get_the_mode_of_a_plain_open"]),

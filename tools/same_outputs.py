@@ -37,6 +37,7 @@ COMMANDS = [
     # the sourced P phi term and a time-varying boundary datum
     ["entropy-check", "--scenario", f"{DATA}/s2.json",
      "--constants", "13", "--bumps", "5,5"],
+    ["scale", "--scenario", f"{DATA}/s1.json"],
 ]
 
 
