@@ -10,7 +10,11 @@ sweep           vanishing-viscosity Cauchy study
 scale           the scaling constants of the scenario's physical block
 
 The scenario holds the problem's data, and the options only how it is run;
-``main`` applies ``--strict-compat`` once, for every subcommand.
+``main`` applies ``--strict-compat`` once, for every subcommand.  Before any
+option's rule is applied, ``main`` reads the command line once for its
+output directory and its scenario's inputs, so that every exit-2 path, a
+malformed command line's included, writes ``error.json`` there and never
+over an input.
 
 All artifacts are written atomically (temp file + rename) with shortest
 round-trip float formatting, so identical inputs give byte-identical output.
@@ -25,6 +29,7 @@ import os
 import re
 import sys
 import tempfile
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -288,6 +293,14 @@ def _positive(value) -> bool:
     return 0.0 < value < math.inf
 
 
+def _can_be_directory(text: str) -> bool:
+    """Whether ``text`` names a directory, or a path that ``mkdir`` can make
+    one: no NUL byte, and its nearest existing ancestor is a directory."""
+    path = Path(text).absolute()
+    return "\0" not in text and os.path.isdir(
+        next(p for p in (path, *path.parents) if os.path.lexists(p)))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="spe",
@@ -296,7 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("--scenario", required=True, help="scenario JSON path")
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument(
+        "--out", default=None,
+        type=_option_type("a directory or a new path whose nearest existing "
+                          "ancestor is a directory", str, _can_be_directory),
+        help="output directory")
     parser.add_argument("--strict-compat", action="store_true",
                         help="treat u0(0) != g(0) as an error")
     parser.add_argument(
@@ -328,31 +345,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _named_out(argv) -> Path:
-    """Where a malformed command line's error goes: its --out directory,
-    else spe-out/<subcommand> as for every later error, else spe-out/.
-    The options are declared without their rules, so that no option's value
-    is taken for the subcommand.  Options are spelled in full, as
-    ``build_parser`` reads them: an abbreviation is an unrecognized word."""
-    parser = _ArgumentParser(add_help=False, allow_abbrev=False)
-    for action in build_parser()._actions:
+def _preflight(parser: argparse.ArgumentParser, argv) -> tuple:
+    """``(out, inputs)`` of a command line, read before ``parser`` applies
+    any rule: the --out directory, else spe-out/<subcommand>, else spe-out/,
+    and the real paths of the files each --scenario reads.  Each option is
+    declared without its rule, so that no value is taken for the subcommand,
+    and in full: an abbreviation is an unrecognized word."""
+    preflight = _ArgumentParser(add_help=False, allow_abbrev=False)
+    for action in parser._actions:
         if action.option_strings and action.nargs != 0:
-            parser.add_argument(*action.option_strings, nargs="?")
-    named, rest = parser.parse_known_args(argv)
-    if named.out:
-        return Path(named.out)
+            preflight.add_argument(*action.option_strings, nargs="?", action="append")
+    named, rest = preflight.parse_known_args(argv)
+    inputs = {os.path.realpath(file) for scenario in named.scenario or () if scenario
+              for file in scenario_files(scenario)}
+    if named.out and named.out[-1]:
+        return Path(named.out[-1]), inputs
     words = [word for word in rest if not word.startswith("-")]
     if words and words[0] in _COMMANDS:
-        return Path("spe-out") / words[0]
-    return Path("spe-out")
+        return Path("spe-out") / words[0], inputs
+    return Path("spe-out"), inputs
 
 
 def main(argv=None) -> int:
-    args = inputs = None
+    parser = build_parser()
+    out, inputs = _preflight(parser, argv)
+    args = None
     try:
-        args = build_parser().parse_args(argv)
-        out = Path(args.out) if args.out else Path("spe-out") / args.subcommand
-        inputs = {os.path.realpath(file) for file in scenario_files(args.scenario)}
+        args = parser.parse_args(argv)
         clash = [path for path in _files(out, re.compile(_written(args.subcommand)))
                  if os.path.realpath(path) in inputs]
         if clash:  # refused before anything is removed or written: inputs stay
@@ -385,15 +404,11 @@ def main(argv=None) -> int:
             record["violations"] = exc.violations
         if isinstance(exc, BlowUpError):
             record["time"] = exc.time
-        try:
-            if args is None:  # malformed: remove nothing, so a typo keeps the last run
-                write_json(_named_out(argv) / "error.json", record)
-            elif inputs is not None:  # else they are unknown: keep every file
+        with suppress(OSError, ValueError):  # ValueError: a NUL byte in --out
+            if args is not None:  # malformed: remove nothing, so a typo keeps the last run
                 _remove_outputs(out, inputs)
-                if os.path.realpath(out / "error.json") not in inputs:
-                    write_json(out / "error.json", record)
-        except OSError:
-            pass
+            if os.path.realpath(out / "error.json") not in inputs:
+                write_json(out / "error.json", record)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

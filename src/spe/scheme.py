@@ -138,7 +138,7 @@ class BoundaryData:
 
     def __call__(self, t: float) -> float:
         val = float(self.g(t))
-        if abs(val) > self.sup_bound * (1.0 + 1e-12) + 1e-300:
+        if not abs(val) <= self.sup_bound * (1.0 + 1e-12) + 1e-300:  # nan too
             raise DataValidationError(
                 [f"boundary datum |g({t:.6g})| = {abs(val):.6g} exceeds its "
                  f"declared sup bound {self.sup_bound:.6g}"]

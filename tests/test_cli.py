@@ -382,9 +382,28 @@ class TestOutputTree:
         assert tree(out) == {"error.json": kept}
         assert f"{scenario}: an input of the scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("malformed", [["--bogus"], ["--delta", "nan"], ["--scenario"]],
+                             ids=["unknown-option", "bad-value", "second-scenario-bare"])
+    def test_malformed_line_keeps_a_scenario_named_error_json(self, tmp_path, capsys,
+                                                             malformed):
+        # the line does not parse, but its inputs are known all the same:
+        # error.json is not written over the scenario, and the error goes to
+        # stderr only
+        out = tmp_path / "out"
+        out.mkdir()
+        scenario = out / "error.json"
+        scenario.write_text(tiny_scenario(tmp_path).read_text())
+        kept = scenario.read_bytes()
+        capsys.readouterr()
+        assert main(["invariants", "--scenario", str(scenario), "--out", str(out),
+                     *malformed]) == 2
+        assert tree(out) == {"error.json": kept}
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_malformed_command_line_removes_nothing(self, tmp_path):
-        # a command line that does not parse names no inputs that can be
-        # trusted: its error.json goes beside the earlier run, which stays
+        # a command line that does not parse removes nothing: its
+        # error.json goes beside the earlier run, which stays
         out = tmp_path / "out"
         assert main(["solve", "--scenario", str(tiny_scenario(tmp_path)),
                      "--out", str(out)]) == 0
@@ -542,6 +561,19 @@ class TestStability:
         doc = read_json(out / "stability.json")
         assert doc["verdict"] == "pass"
         assert doc["detail"]["constant"] > 1.0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the gauge <P>, a domain average, and the diffusion carry "
+                              "the perturbation into a window the cone R + Ct has not "
+                              "reached, where the bound is 0")
+    def test_window_short_of_the_perturbation(self, tmp_path):
+        # s1's perturbation is supported on [L/4 - L/20, L/4 + L/20] = [2, 3],
+        # and with C about 9.85 the cone 1 + Ct reaches x = 2 only after
+        # t = 0.1; so the bound at t = 0.1 is 0, but u - v is already
+        # about 4e-5 in L1 on the window (0, 1)
+        out = tmp_path / "out"
+        assert main(["stability", "--scenario", str(builtin_scenario_path("s1")),
+                     "--stability-R", "1.0", "--out", str(out)]) == 0
 
     def test_constant_override(self, tmp_path):
         scenario = tiny_scenario(tmp_path)
@@ -900,6 +932,33 @@ class TestErrors:
         assert [str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.json")] == [
             f"{directory}/error.json"]
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--scenario", "s.json", "--out", "o"],
+        ["--scenario", "s.json", "--out", "o", "solve"],
+        ["entropy-check", "--scenario", "s.json"],
+        ["--scenario", "s.json", "sweep"],
+        ["stability", "--out=o", "--scenario=s.json", "--delta", "-1"],
+        ["scale", "--out=", "--scenario", "s.json"],
+        ["invariants", "--out", "", "--scenario", "s.json"],
+        ["--scenario", "solve", "invariants", "--strict-compat"],
+        ["solve", "--out", "a", "--scenario", "a/b.json", "--out", "o/p",
+         "--scenario", "s.json"],
+    ], ids=["out-first", "out-last", "no-out-first", "no-out-last", "out-equals",
+            "out-equals-empty", "out-empty", "scenario-named-solve", "repeated"])
+    def test_preflight_reads_a_well_formed_line_as_the_parser(self, tmp_path, monkeypatch,
+                                                              argv):
+        # for a line that parses, the pre-flight's directory and inputs are
+        # those of the parsed line
+        monkeypatch.chdir(tmp_path)
+        for name in ("s.json", "solve"):
+            Path(name).write_text(json.dumps({"initial": {"file": "u0.csv"}}))
+        Path("u0.csv").write_text("x,u\n")
+        parser = cli.build_parser()
+        args = parser.parse_args(argv)
+        out, inputs = cli._preflight(parser, argv)
+        assert out == (Path(args.out) if args.out else Path("spe-out") / args.subcommand)
+        assert inputs == {str(tmp_path / args.scenario), str(tmp_path / "u0.csv")}
+
     def test_errors_of_one_subcommand_share_a_directory(self, tmp_path, monkeypatch):
         # without --out, a bad option value (found while parsing) and a
         # window beyond the domain (found by the subcommand) both write
@@ -984,17 +1043,30 @@ class TestErrors:
         assert read_json(out / "error.json") == {"error": "ValueError", "message": message}
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_out_that_is_a_file_exits_2_and_keeps_it(self, tmp_path, capsys):
-        # neither scale.json nor error.json can be written under a regular
-        # file; the failure to write error.json is not a second error
-        out = tmp_path / "out"
-        out.write_text("mine\n")
+    def test_out_that_is_a_file_exits_2_and_keeps_it(self, tmp_path, monkeypatch, capsys):
+        # an --out that cannot become a directory breaks its rule while the
+        # command line parses, so nothing loads; error.json cannot be
+        # written under a regular file, so the message goes to stderr only
+        monkeypatch.setattr(cli, "load_scenario", _no_solve)
+        file = tmp_path / "out"
+        file.write_text("mine\n")
         scenario = str(builtin_scenario_path("s1"))
-        assert main(["scale", "--scenario", scenario, "--out", str(out)]) == 2
-        assert out.read_text() == "mine\n"
-        err = capsys.readouterr().err
-        assert err.startswith("error: [Errno ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        for out in (str(file), str(file / "sub")):
+            assert main(["scale", "--scenario", scenario, "--out", out]) == 2
+            assert capsys.readouterr().err == (
+                "error: argument --out: must be a directory or a new path whose "
+                f"nearest existing ancestor is a directory, got {out!r}\n")
+        assert tree(tmp_path) == {"out": b"mine\n"}
+
+    def test_out_with_a_nul_byte_breaks_its_rule(self, tmp_path, monkeypatch, capsys):
+        # no path holds a NUL byte: the line is malformed, with or without a
+        # second mistake, and writing its error.json fails without a traceback
+        monkeypatch.chdir(tmp_path)
+        scenario = str(builtin_scenario_path("s1"))
+        for extra in ([], ["--bogus"]):
+            assert main(["scale", "--scenario", scenario, "--out", "a\0b", *extra]) == 2
+            assert capsys.readouterr().err.startswith("error: argument --out: must be ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_completed_command_removes_an_earlier_error(self, tmp_path):
         # error.json describes the last command into --out, not an earlier one

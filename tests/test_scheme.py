@@ -153,6 +153,16 @@ class TestBoundaryData:
         with pytest.raises(DataValidationError):
             g(math.pi / 2)
 
+    def test_nonfinite_value_is_an_input_error(self):
+        # nan compares false with any bound; the run stops on the datum at
+        # its first step past t = 0.01, not later as a blow-up of u
+        grid = make_uniform_grid(10.0, 64)
+        config = SolverConfig(eps=1e-2, grid=grid, final_time=0.1, snapshot_times=(0.01,))
+        u0 = preset_initial("bump-derivative", {"a": 0.5, "x0": 2.0, "sigma": 1.0}, grid)
+        g = BoundaryData(g=lambda t: math.nan if t > 0.01 else 0.0, sup_bound=1.0)
+        with pytest.raises(DataValidationError, match=r"^boundary datum \|g\([0-9.]+\)\| = nan "):
+            run(u0, g, config)
+
     def test_nonfinite_bound_rejected(self):
         # the one owner of the bounded-boundary rule: presets and files reach it
         for bound in (math.inf, math.nan, -1.0):

@@ -111,7 +111,8 @@ MUTANTS = [
      "np.argmax(np.subtract(measured, bound))", "np.argmin(np.subtract(measured, bound))",
      ["tests/test_diagnostics.py::TestWorstCaseRule"]),
     ("failure-keeps-partial-tree", CLI,
-     "                _remove_outputs(out, inputs)\n                if", "                if",
+     "                _remove_outputs(out, inputs)\n            if",
+     "                pass\n            if",
      ["tests/test_cli.py::TestOutputTree::"
       "test_write_failure_leaves_no_file_of_either_run"]),
     # a failed write leaves its temporary file beside the outputs
@@ -121,6 +122,12 @@ MUTANTS = [
     ("files-keep-the-temporary-mode", CLI,
      "            os.fchmod(fh.fileno(), 0o666 & ~umask)\n", "",
      ["tests/test_cli.py::TestErrors::test_files_get_the_mode_of_a_plain_open"]),
+    # a malformed command line writes its error over a scenario named error.json
+    ("malformed-error-over-input", CLI,
+     'if os.path.realpath(out / "error.json") not in inputs:',
+     'if args is None or os.path.realpath(out / "error.json") not in inputs:',
+     ["tests/test_cli.py::TestOutputTree::"
+      "test_malformed_line_keeps_a_scenario_named_error_json"]),
     ("output-over-input-allowed", CLI,
      "        if clash:", "        if False:",
      ["tests/test_cli.py::TestOutputTree"]),
