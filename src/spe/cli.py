@@ -301,6 +301,10 @@ def _can_be_directory(text: str) -> bool:
         next(p for p in (path, *path.parents) if os.path.lexists(p)))
 
 
+#: the rule of --out, which ``main`` also applies to the default directory
+_OUT_RULE = "a directory or a new path whose nearest existing ancestor is a directory"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="spe",
@@ -311,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenario", required=True, help="scenario JSON path")
     parser.add_argument(
         "--out", default=None,
-        type=_option_type("a directory or a new path whose nearest existing "
-                          "ancestor is a directory", str, _can_be_directory),
+        type=_option_type(_OUT_RULE, str, _can_be_directory),
         help="output directory")
     parser.add_argument("--strict-compat", action="store_true",
                         help="treat u0(0) != g(0) as an error")
@@ -372,6 +375,9 @@ def main(argv=None) -> int:
     args = None
     try:
         args = parser.parse_args(argv)
+        # the default directory (no --out, or an empty one) passes no rule of the parser
+        if not _can_be_directory(str(out)):
+            raise ValueError(f"argument --out: must be {_OUT_RULE}, got {str(out)!r}")
         clash = [path for path in _files(out, re.compile(_written(args.subcommand)))
                  if os.path.realpath(path) in inputs]
         if clash:  # refused before anything is removed or written: inputs stay

@@ -63,8 +63,9 @@ class BumpProfile:
         if not self.hi > self.lo:
             raise ValueError("profile support must have positive length")
 
-    def _local(self, s):
-        # z across the support, dz/ds, and the mask of points inside it
+    def sample(self, s) -> tuple:
+        """The profile's values and derivatives at the points ``s``, from
+        one map of ``s`` to z across the support."""
         s = np.asarray(s, dtype=float)
         if self.edge_at_lo:
             z = (s - self.lo) / (self.hi - self.lo)
@@ -74,15 +75,9 @@ class BumpProfile:
             z = (2.0 * s - (self.lo + self.hi)) / (self.hi - self.lo)
             scale = 2.0 / (self.hi - self.lo)
             inside = (z > -1.0) & (z < 1.0)
-        return z, scale, inside
-
-    def value(self, s):
-        z, _, inside = self._local(s)
-        return np.where(inside, (1.0 - z**2) ** 3, 0.0)
-
-    def derivative(self, s):
-        z, scale, inside = self._local(s)
-        return np.where(inside, -6.0 * z * (1.0 - z**2) ** 2 * scale, 0.0)
+        w = 1.0 - z**2
+        return (np.where(inside, w**3, 0.0),
+                np.where(inside, -6.0 * z * w**2 * scale, 0.0))
 
 
 @dataclass(frozen=True)
@@ -163,9 +158,9 @@ class _OnBox:
     @classmethod
     def of(cls, profile: BumpProfile, nodes: np.ndarray) -> "_OnBox":
         box = _cover(nodes, profile.lo, profile.hi)
-        value, derivative = profile.value(nodes[box]), profile.derivative(nodes[box])
+        value, derivative = profile.sample(nodes[box])
         return cls(box, value, derivative, _sup(value), _sup(derivative),
-                   float(profile.value(0.0)))
+                   float(profile.sample(0.0)[0]))
 
 
 def _signed_sums(keys: np.ndarray, weights: list, constants: np.ndarray) -> np.ndarray:
@@ -185,7 +180,7 @@ def _signed_sums(keys: np.ndarray, weights: list, constants: np.ndarray) -> np.n
         # argsort's indices are in range; the default mode="raise" would
         # buffer the output
         np.take(w, order, out=row[1:], mode="clip")
-    np.cumsum(prefix, axis=1, out=prefix)
+    np.add.accumulate(prefix, axis=1, out=prefix)
     below = prefix[:, np.searchsorted(ranked, constants, side="left")]
     above = prefix[:, -1:] - prefix[:, np.searchsorted(ranked, constants, side="right")]
     return above - below
@@ -196,7 +191,8 @@ class _Quadrature:
     constants, read once for every test function: the snapshot times, the
     nodes, the trapezoid weights of both, g in each snapshot's row of the
     boundary series and u0.  A test function's residuals are ``interior``
-    + ``boundary`` + ``initial``, summed in that order."""
+    plus two ``edge`` integrals, the boundary trace's and then the initial
+    datum's, summed in that order."""
 
     def __init__(self, traj: Trajectory, constants, trace: np.ndarray):
         times = traj.times
@@ -242,18 +238,13 @@ class _Quadrature:
             out += s[4]
         return out
 
-    def boundary(self, rows: slice, phi_t0) -> np.ndarray:
-        """The boundary-trace integral, from phi(t, 0) on ``rows``."""
-        wt_phi_t0 = self.wt[rows] * phi_t0
-        b = _signed_sums(self.g[rows], [self.trace[rows] ** 3 * wt_phi_t0, wt_phi_t0], self.c)
-        return b[0] - self.c3 * b[1]
-
-    def initial(self, cols: slice, phi_0x) -> np.ndarray:
-        """The initial-datum integral, from phi(0, x) on ``cols``."""
-        u0 = self.u0[cols]
-        wx_phi_0x = self.wx[cols] * phi_0x
-        i = _signed_sums(u0, [u0 * wx_phi_0x, wx_phi_0x], self.c)
-        return i[0] - self.c * i[1]
+    def edge(self, keys, values, weights, c_power) -> np.ndarray:
+        """An integral along one edge of the domain, sum of sgn(key - c)
+        (value - c^p) w for each constant c, with ``c_power`` = c^p: the
+        boundary-trace term has keys g, values trace^3 and p = 3, the
+        initial-datum term keys and values u0 and p = 1."""
+        s = _signed_sums(keys, [values * weights, weights], self.c)
+        return s[0] - c_power * s[1]
 
 
 def entropy_table(traj: Trajectory, constants, bumps: list, trace: np.ndarray) -> tuple:
@@ -299,9 +290,11 @@ def entropy_table(traj: Trajectory, constants, bumps: list, trace: np.ndarray) -
         pt, px = on_t[phi.pt], on_x[phi.px]
         b, i = (phi.pt, px.at_zero), (phi.px, pt.at_zero)
         if b not in boundary:
-            boundary[b] = q.boundary(pt.box, pt.value * px.at_zero)
+            boundary[b] = q.edge(q.g[pt.box], q.trace[pt.box] ** 3,
+                                 q.wt[pt.box] * (pt.value * px.at_zero), q.c3)
         if i not in initial:
-            initial[i] = q.initial(px.box, pt.at_zero * px.value)
+            u0 = q.u0[px.box]
+            initial[i] = q.edge(u0, u0, q.wx[px.box] * (pt.at_zero * px.value), q.c)
         residuals[k] = q.interior(
             pt.box, px.box,
             np.outer(pt.derivative, px.value), np.outer(pt.value, px.derivative),

@@ -112,7 +112,7 @@ def _running_trapezoid(
     out[0] = 0.0
     np.add(values[:-1], values[1:], out=out[1:])
     out[1:] *= 0.5 * dx
-    np.cumsum(out[1:], out=out[1:])
+    np.add.accumulate(out[1:], out=out[1:])
     return out
 
 

@@ -363,12 +363,24 @@ def scenario_files(path) -> list:
     return [file for file in files if os.path.isfile(file)]
 
 
-def _load_field_csv(path: Path, grid: Grid) -> Field:
-    # ndmin=2: a file of one data row is a table of one row, not a 1-D array
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+def _read_columns(path: Path, kind: str, names: str) -> tuple:
+    """The first two columns of the CSV data file ``path``, a ``kind`` file
+    whose header must name them ``names`` (spaces stripped); any later
+    column is parsed and dropped."""
+    with open(path, encoding="utf-8") as fh:
+        found = ",".join(name.strip() for name in fh.readline().split(",")[:2])
+        if found != names:
+            raise DataValidationError(
+                [f"{path}: {kind} file needs columns {names}, its header names {found!r}"])
+        # ndmin=2: a file of one data row is a table of one row, not a 1-D array
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape[1] < 2:
-        raise DataValidationError([f"{path}: field file needs columns x,u"])
-    xs, us = data[:, 0], data[:, 1]
+        raise DataValidationError([f"{path}: {kind} file needs columns {names}"])
+    return data[:, 0], data[:, 1]
+
+
+def _load_field_csv(path: Path, grid: Grid) -> Field:
+    xs, us = _read_columns(path, "field", "x,u")
     if (len(xs) != grid.node_count
             or not np.allclose(xs, grid.nodes, rtol=0.0, atol=1e-9)):
         raise DataValidationError(
@@ -378,10 +390,7 @@ def _load_field_csv(path: Path, grid: Grid) -> Field:
 
 
 def _load_boundary_csv(path: Path) -> BoundaryData:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] < 2:
-        raise DataValidationError([f"{path}: boundary file needs columns t,g"])
-    ts, gs = data[:, 0], data[:, 1]
+    ts, gs = _read_columns(path, "boundary", "t,g")
     # np.interp reads the samples in order; a single one is a constant datum
     if not (np.isfinite(ts).all() and (np.diff(ts) > 0.0).all()):
         raise DataValidationError(

@@ -1058,6 +1058,26 @@ class TestErrors:
                 f"nearest existing ancestor is a directory, got {out!r}\n")
         assert tree(tmp_path) == {"out": b"mine\n"}
 
+    @pytest.mark.parametrize("file", ["spe-out", "spe-out/sweep"])
+    def test_default_out_under_a_file_exits_2_and_keeps_it(self, tmp_path, monkeypatch,
+                                                           capsys, file):
+        # without --out the default directory spe-out/<subcommand> keeps the
+        # --out rule: the line fails before anything loads or is removed
+        monkeypatch.setattr(cli, "load_scenario", _no_solve)
+        monkeypatch.chdir(tmp_path)
+        Path(file).parent.mkdir(exist_ok=True)
+        Path(file).write_text("mine\n")
+        scenario = str(builtin_scenario_path("s1"))
+        assert main(["sweep", "--scenario", scenario]) == 2
+        assert capsys.readouterr().err == (
+            "error: argument --out: must be a directory or a new path whose nearest "
+            "existing ancestor is a directory, got 'spe-out/sweep'\n")
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [tmp_path / file]
+        assert Path(file).read_bytes() == b"mine\n"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--scenario", scenario, "--help"])
+        assert excinfo.value.code == 0
+
     def test_out_with_a_nul_byte_breaks_its_rule(self, tmp_path, monkeypatch, capsys):
         # no path holds a NUL byte: the line is malformed, with or without a
         # second mistake, and writing its error.json fails without a traceback

@@ -29,10 +29,8 @@ def on_grid(phi, t, x):
     """phi, phi_t and phi_x of the bump ``phi`` at every point of the grid
     ``t`` x ``x`` (arrays or scalars), as outer products of its profiles:
     the full-grid reference the support-box quadrature is checked against."""
-    t, x = np.atleast_1d(t), np.atleast_1d(x)
-    return (np.outer(phi.pt.value(t), phi.px.value(x)),
-            np.outer(phi.pt.derivative(t), phi.px.value(x)),
-            np.outer(phi.pt.value(t), phi.px.derivative(x)))
+    (pt, dpt), (px, dpx) = phi.pt.sample(np.atleast_1d(t)), phi.px.sample(np.atleast_1d(x))
+    return np.outer(pt, px), np.outer(dpt, px), np.outer(pt, dpx)
 
 
 def synthetic_trajectory(grid, times, profiles, g, eps=0.0, include_source=True):

@@ -98,7 +98,7 @@ def unreferenced() -> list:
 
 def test_scan_finds_definitions_and_references():
     names = {qualname for path in SOURCES for qualname, _, _ in definitions(path)}
-    assert {"entropy.entropy_table", "entropy.BumpProfile.value",
+    assert {"entropy.entropy_table", "entropy.BumpProfile.sample",
             "cli.MAX_ENTROPY_ROWS", "scheme.run"} <= names
     assert not any(name.split(".")[-1].startswith("_") for name in names)
 

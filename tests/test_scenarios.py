@@ -226,6 +226,29 @@ class TestLoadScenario:
             with pytest.raises(DataValidationError, match="needs columns t,g"):
                 parse_scenario(doc)
 
+    def test_data_files_are_read_by_their_header_names(self, s1_spec, s1_doc, tmp_path):
+        # a boundary file headed g,t would load with its columns swapped,
+        # g(0.05) = 0.25 where the file means 0.01
+        boundary_file = tmp_path / "g.csv"
+        boundary_file.write_text("g,t\n0,0\n0.1,0.5\n0.2,1\n")
+        doc = {**s1_doc, "boundary": {"file": str(boundary_file)}}
+        with pytest.raises(DataValidationError) as excinfo:
+            parse_scenario(doc)
+        assert excinfo.value.violations == [
+            f"{boundary_file}: boundary file needs columns t,g, its header names 'g,t'"]
+        # spaces around a name are stripped, and a third column is not read
+        boundary_file.write_text(" t , g ,dudx0\n0,0,9\n0.5,0.1,9\n1,0.2,9\n")
+        assert parse_scenario(doc).boundary(0.05) == pytest.approx(0.01)
+        field_file = tmp_path / "u0.csv"
+        field_file.write_text("u,x\n" + "\n".join(
+            f"{u!r},{x!r}" for x, u in zip(s1_spec.grid.nodes.tolist(),
+                                         s1_spec.initial.values.tolist())))
+        doc = {**s1_doc, "initial": {"file": str(field_file)}}
+        with pytest.raises(DataValidationError) as excinfo:
+            parse_scenario(doc)
+        assert excinfo.value.violations == [
+            f"{field_file}: field file needs columns x,u, its header names 'u,x'"]
+
     @pytest.mark.parametrize("rows", [
         "1.0,0.0\n0.5,0.4\n0.0,0.0\n",
         "0.0,0.0\n0.05,0.3\n0.05,0.1\n0.2,0.0\n",

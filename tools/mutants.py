@@ -1,6 +1,6 @@
 """Mutation check: each load-bearing detail of the kernel, of the entropy
-quadrature and of the command line's output tree has a test that fails
-without it.
+quadrature, of the command line's output tree and of the scenario loader has
+a test that fails without it.
 
 Each entry of ``MUTANTS`` names a file, a text in it, the text that replaces
 it and the pytest selection that must fail once it is replaced.  For each
@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SCHEME = "src/spe/scheme.py"
 ENTROPY = "src/spe/entropy.py"
 CLI = "src/spe/cli.py"
+SCENARIOS = "src/spe/scenarios.py"
 #: (name, file, old text, new text, pytest selection)
 MUTANTS = [
     ("factor-no-mod4-rounding", SCHEME,
@@ -93,6 +94,11 @@ MUTANTS = [
      "traj.boundary_series[traj.snapshot_rows, 2]",
      ["tests/test_entropy.py::TestSupportBoxQuadrature::"
       "test_pulse_boundary_read_at_snapshot_rows"]),
+    # the boundary-trace flux sgn(g - c)(trace^3 - c^3) loses its cube of c
+    ("boundary-edge-with-c-for-c3", ENTROPY,
+     "q.wt[pt.box] * (pt.value * px.at_zero), q.c3)",
+     "q.wt[pt.box] * (pt.value * px.at_zero), q.c)",
+     ["tests/test_entropy.py::TestSupportBoxQuadrature"]),
     ("tolerance-drops-a-product", ENTROPY,
      "max(pt.sup * px.sup, pt.sup_derivative * px.sup, pt.sup * px.sup_derivative)",
      "max(pt.sup * px.sup, pt.sup_derivative * px.sup)",
@@ -128,9 +134,18 @@ MUTANTS = [
      'if args is None or os.path.realpath(out / "error.json") not in inputs:',
      ["tests/test_cli.py::TestOutputTree::"
       "test_malformed_line_keeps_a_scenario_named_error_json"]),
+    # a run into spe-out/<subcommand> under a regular file ends in [Errno 20]
+    ("default-out-unchecked", CLI,
+     "        if not _can_be_directory(str(out)):", "        if False:",
+     ["tests/test_cli.py::TestErrors::test_default_out_under_a_file_exits_2_and_keeps_it"]),
     ("output-over-input-allowed", CLI,
      "        if clash:", "        if False:",
      ["tests/test_cli.py::TestOutputTree"]),
+    # a boundary file headed g,t loads with its columns swapped
+    ("header-names-unchecked", SCENARIOS,
+     "        if found != names:", "        if False:",
+     ["tests/test_scenarios.py::TestLoadScenario::"
+      "test_data_files_are_read_by_their_header_names"]),
 ]
 
 
