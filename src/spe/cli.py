@@ -119,8 +119,7 @@ def write_csv(path: Path, header: list, columns: list) -> None:
 
 
 def _run_scenario(spec: ScenarioSpec) -> Trajectory:
-    return run(spec.initial, spec.boundary, spec.config,
-               require_zero_mean=spec.conforming)
+    return run(spec.initial, spec.boundary, spec.config)
 
 
 def _cmd_solve(spec: ScenarioSpec, out: Path, args) -> tuple:

@@ -19,10 +19,11 @@ quadrature resolution.  P is each snapshot's raw primitive, not the P - <P>
 that ``scheme.step`` applies: the check tests the half-line equation.
 
 A test function is a separable bump, the pair (pt, px) of a time and a
-space profile (``TestFunction``).  ``entropy_table`` is the one evaluator and
-the only code that samples a profile on the snapshot grid: it takes a family
-of bumps, reads the trajectory once and evaluates each axis profile once.
-``entropy_residual`` and ``entropy_tolerance`` are both its one-row case.
+space profile (``TestFunction``).  ``entropy_table`` is the one evaluator:
+it takes a family of bumps, reads the trajectory once and evaluates each
+axis profile once; ``entropy_residual`` is its one-row case.  Only
+``_OnBox.of`` samples a profile, and ``entropy_tolerance`` is the table's
+tolerance formula (``_tolerance``) on one bump's two profiles.
 """
 
 from __future__ import annotations
@@ -163,6 +164,28 @@ class _OnBox:
                    float(profile.sample(0.0)[0]))
 
 
+def _check_support(phi: TestFunction, traj: Trajectory) -> None:
+    """A ValueError when ``phi``'s support leaves ``traj``'s computed domain
+    [0, T] x [0, L]."""
+    tol = 1e-9
+    T, L = traj.config.final_time, traj.config.grid.length
+    if not (-tol <= phi.pt.lo and phi.pt.hi <= T + tol
+            and -tol <= phi.px.lo and phi.px.hi <= L + tol):
+        raise ValueError("test function support exceeds the computed domain")
+
+
+def _resolution(traj: Trajectory) -> float:
+    """dx + dt_snap, the quadrature resolution a tolerance scales with."""
+    return traj.config.grid.dx + float(np.max(np.diff(traj.times)))
+
+
+def _tolerance(resolution: float, pt: _OnBox, px: _OnBox) -> float:
+    """The tolerance of the bump pt * px from its two profiles on their
+    boxes: 10 * resolution * scale(phi) (see ``entropy_table``)."""
+    scale = max(pt.sup * px.sup, pt.sup_derivative * px.sup, pt.sup * px.sup_derivative)
+    return 10.0 * resolution * scale
+
+
 def _signed_sums(keys: np.ndarray, weights: list, constants: np.ndarray) -> np.ndarray:
     """Sum of sgn(keys - c) * w for each array w in ``weights`` (the shape of
     ``keys``) and each constant c: the weights of the keys above c less
@@ -200,7 +223,6 @@ class _Quadrature:
             raise ValueError("trace does not have one value per trajectory snapshot")
         grid = traj.config.grid
         self.times, self.xs, self.trace = times, grid.nodes, trace
-        self.ends = (traj.config.final_time, grid.length)
         # trapezoid weights in t (general spacing) and x (uniform) of the
         # whole grid; each sum runs over one support box only
         self.wt = _trapezoid_weights(np.diff(times), len(times))
@@ -211,13 +233,6 @@ class _Quadrature:
         self.sourced = traj.config.include_source
         self.c = np.asarray(constants, dtype=float)
         self.c3 = self.c**3
-
-    def check_support(self, phi: TestFunction) -> None:
-        tol = 1e-9
-        T, L = self.ends
-        if not (-tol <= phi.pt.lo and phi.pt.hi <= T + tol
-                and -tol <= phi.px.lo and phi.px.hi <= L + tol):
-            raise ValueError("test function support exceeds the computed domain")
 
     def interior(self, rows: slice, cols: slice, phi_t, phi_x, phi) -> np.ndarray:
         """The space-time integrals, from phi_t, phi_x and phi on the support
@@ -275,8 +290,7 @@ def entropy_table(traj: Trajectory, constants, bumps: list, trace: np.ndarray) -
     initial terms instead of kt kx each.
     """
     q = _Quadrature(traj, constants, trace)
-    # dx + dt_snap, the quadrature resolution the tolerance scales with
-    resolution = traj.config.grid.dx + float(np.max(np.diff(q.times)))
+    resolution = _resolution(traj)
     # each distinct profile of an axis, on its box of that axis's points
     on_t = {p: _OnBox.of(p, q.times) for p in {phi.pt for phi in bumps}}
     on_x = {p: _OnBox.of(p, q.xs) for p in {phi.px for phi in bumps}}
@@ -286,7 +300,7 @@ def entropy_table(traj: Trajectory, constants, bumps: list, trace: np.ndarray) -
     residuals = np.empty((len(bumps), len(q.c)))
     tolerances = np.empty(len(bumps))
     for k, phi in enumerate(bumps):
-        q.check_support(phi)
+        _check_support(phi, traj)
         pt, px = on_t[phi.pt], on_x[phi.px]
         b, i = (phi.pt, px.at_zero), (phi.px, pt.at_zero)
         if b not in boundary:
@@ -300,8 +314,7 @@ def entropy_table(traj: Trajectory, constants, bumps: list, trace: np.ndarray) -
             np.outer(pt.derivative, px.value), np.outer(pt.value, px.derivative),
             np.outer(pt.value, px.value) if q.sourced else None,
         ) + boundary[b] + initial[i]
-        scale = max(pt.sup * px.sup, pt.sup_derivative * px.sup, pt.sup * px.sup_derivative)
-        tolerances[k] = 10.0 * resolution * scale
+        tolerances[k] = _tolerance(resolution, pt, px)
     return residuals, tolerances
 
 
@@ -318,5 +331,8 @@ def entropy_residual(
 
 def entropy_tolerance(phi: TestFunction, traj: Trajectory) -> float:
     """The quadrature tolerance of the bump ``phi`` on ``traj``'s snapshot
-    grid: the one-row ``entropy_table``, for any constant."""
-    return float(entropy_table(traj, [0.0], [phi], extract_trace(traj))[1][0])
+    grid, ``entropy_table``'s for any constant, from ``phi``'s two profiles
+    alone: no residual is computed."""
+    _check_support(phi, traj)
+    return _tolerance(_resolution(traj), _OnBox.of(phi.pt, traj.times),
+                      _OnBox.of(phi.px, traj.config.grid.nodes))

@@ -97,9 +97,4 @@ def s1_eps3_traj(s1_spec, run_times):
 
 @pytest.fixture(scope="session")
 def riemann_traj(riemann_spec):
-    return run(
-        riemann_spec.initial,
-        riemann_spec.boundary,
-        riemann_spec.config,
-        require_zero_mean=False,
-    )
+    return run(riemann_spec.initial, riemann_spec.boundary, riemann_spec.config)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import subprocess_env
+from conftest import shipped_document, subprocess_env
 from spe import cli
 from spe.cli import MAX_ENTROPY_ROWS, main
 from spe.entropy import (
@@ -472,6 +472,21 @@ class TestEntropyCheck:
             "--out", str(out), "--constants", "3", "--bumps", "2,2",
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("subcommand", sorted(cli._COMMANDS))
+    def test_sourced_riemann_exits_2_naming_source_enabled(self, tmp_path, subcommand):
+        # the first sourced time step would project the datum's mass away,
+        # so the entropy check would pass a run of other data
+        doc = shipped_document("riemann")
+        doc["source_enabled"] = True
+        scenario = tmp_path / "riemann.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([subcommand, "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+        err = read_json(out / "error.json")
+        assert err["error"] == "DataValidationError"
+        assert "'source_enabled': false" in err["violations"][-1]
 
     def test_rows_match_per_pair_residuals(self, tmp_path, riemann_traj):
         # every constant of a bump is evaluated in one pass; the rows are

@@ -189,20 +189,19 @@ class TestStabilityCompare:
             stability_compare(s1_traj, s1_traj_1000, window=4.0, C=5.0)
 
     def test_passing_constant_passes_when_increased(self):
-        # nonnegative initial difference supported inside the window: the
-        # right-hand side is monotone in C, so any larger constant also passes
+        # a zero-mean initial difference, as the sourced run needs, supported
+        # inside the window: the right-hand side is monotone in C for any
+        # difference, so any larger constant also passes
         grid = make_uniform_grid(10.0, 400)
         config = SolverConfig(
             eps=1e-2, grid=grid, final_time=0.4, snapshot_times=(0.1, 0.2, 0.3)
         )
         u0 = preset_initial("bump-derivative", {"a": 1.0, "x0": 2.0, "sigma": 1.0}, grid)
-        x = grid.nodes
-        s = (x - 2.0) / 0.6
-        lump = np.where(np.abs(s) <= 1.0, 5e-3 * (1 - s**2) ** 3, 0.0)
-        v0 = Field(grid, u0.values - lump)
+        bump = preset_initial("bump-derivative", {"a": 5e-3, "x0": 2.0, "sigma": 0.6}, grid)
+        v0 = Field(grid, u0.values - bump.values)
         g = BoundaryData.zero()
         base = run(u0, g, config)
-        pert = run(v0, g, config, require_zero_mean=False)
+        pert = run(v0, g, config)
         C = default_stability_constant(base, pert)
         rec1 = stability_compare(base, pert, window=4.0, C=C)
         rec2 = stability_compare(base, pert, window=4.0, C=2.0 * C)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import shipped_document
 from spe.errors import DataValidationError
 from spe.fields import cumulative_primitive, lp_norm, make_uniform_grid, mean
 from spe.scenarios import (
@@ -107,6 +108,20 @@ class TestLoadScenario:
     def test_riemann_flagged_nonconforming(self, riemann_spec):
         assert not riemann_spec.conforming
         assert riemann_spec.config.include_source is False
+
+    @pytest.mark.parametrize("source", [{}, {"source_enabled": True}],
+                             ids=["source-omitted", "source-true"])
+    def test_consent_needs_the_source_off(self, source):
+        # the sourced problem projects each time step to zero mean, so a
+        # sourced run of the step datum would be a run of other data
+        doc = {key: value for key, value in shipped_document("riemann").items()
+               if key != "source_enabled"}
+        with pytest.raises(DataValidationError) as excinfo:
+            parse_scenario({**doc, **source})
+        violations = excinfo.value.violations
+        assert len(violations) == 2
+        assert "nonzero mean" in violations[0]
+        assert violations[1].endswith("'allow_nonconforming' needs 'source_enabled': false")
 
     def test_nonzero_mean_file_rejected(self, tmp_path):
         grid_doc = {"L": 1.0, "n": 8}
@@ -248,6 +263,22 @@ class TestLoadScenario:
             parse_scenario(doc)
         assert excinfo.value.violations == [
             f"{field_file}: field file needs columns x,u, its header names 'u,x'"]
+
+    @pytest.mark.parametrize("block, data, why", [
+        ("boundary", b"t,g\n0,abc\n", "could not convert string 'abc'"),
+        ("boundary", b"t,g\n0,0\n1,\xff\n", "can't decode byte 0xff"),
+        ("initial", b"x,u\xff\n0,0\n", "can't decode byte 0xff"),
+    ], ids=["boundary-not-a-number", "boundary-not-utf-8", "field-header-not-utf-8"])
+    def test_unparsable_data_file_is_named(self, s1_doc, tmp_path, block, data, why):
+        # with two data files, the message must say which one is bad
+        data_file = tmp_path / "data.csv"
+        data_file.write_bytes(data)
+        kind = {"initial": "field", "boundary": "boundary"}[block]
+        with pytest.raises(DataValidationError) as excinfo:
+            parse_scenario({**s1_doc, block: {"file": str(data_file)}})
+        [violation] = excinfo.value.violations
+        assert violation.startswith(f"{data_file}: {kind} file cannot be parsed: ")
+        assert why in violation
 
     @pytest.mark.parametrize("rows", [
         "1.0,0.0\n0.5,0.4\n0.0,0.0\n",

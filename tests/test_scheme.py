@@ -378,6 +378,16 @@ class TestRun:
         with pytest.raises(DataValidationError):
             run(Field(grid, np.ones(65)), BoundaryData.zero(), config)
 
+    def test_nonzero_mean_runs_source_free(self):
+        # the source-free law is not projected, so it takes any mean and
+        # keeps its mass but for the boundary flux
+        grid = make_uniform_grid(10.0, 64)
+        config = SolverConfig(eps=1e-2, grid=grid, final_time=0.2, include_source=False)
+        u0 = Field(grid, np.ones(65))
+        traj = run(u0, preset_boundary("constant", {"a": 1.0}), config)
+        assert traj.final.t == 0.2
+        assert mean(traj.final.u) > 0.9 * mean(u0)
+
     def test_compatibility_mismatch_warns(self):
         # the command line's --strict-compat makes it an error, before run
         grid = make_uniform_grid(10.0, 64)

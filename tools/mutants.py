@@ -141,6 +141,16 @@ MUTANTS = [
     ("output-over-input-allowed", CLI,
      "        if clash:", "        if False:",
      ["tests/test_cli.py::TestOutputTree"]),
+    # a sourced riemann scenario loads with consent, and its first time
+    # step projects the datum's mass away
+    ("consent-with-the-source-on", SCENARIOS,
+     "if config.include_source else [])", "if False else [])",
+     ["tests/test_scenarios.py::TestLoadScenario::test_consent_needs_the_source_off"]),
+    # the source-free law is refused data of nonzero mean
+    ("zero-mean-required-source-free", SCHEME,
+     "violation = config.include_source and zero_mean_violation(u0)",
+     "violation = zero_mean_violation(u0)",
+     ["tests/test_scheme.py::TestRun::test_nonzero_mean_runs_source_free"]),
     # a boundary file headed g,t loads with its columns swapped
     ("header-names-unchecked", SCENARIOS,
      "        if found != names:", "        if False:",
