@@ -336,7 +336,8 @@ def parse_scenario(doc: dict, *, source: str = "<memory>") -> ScenarioSpec:
 
 
 def load_scenario(path) -> ScenarioSpec:
-    """Read and validate a scenario JSON file."""
+    """Read and validate a scenario JSON file.  A file that is not UTF-8 or
+    not JSON is named in the error."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         try:
@@ -344,6 +345,9 @@ def load_scenario(path) -> ScenarioSpec:
         except RecursionError:
             raise DataValidationError(
                 [f"scenario {path}: JSON nested too deeply to read"]) from None
+        except ValueError as err:  # JSONDecodeError and UnicodeDecodeError among them
+            raise DataValidationError(
+                [f"{path}: scenario file cannot be parsed: {err}"]) from None
     return parse_scenario(doc, source=str(path))
 
 

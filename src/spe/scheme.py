@@ -42,25 +42,42 @@ multiplier is a copy of the last one.  They repeat after 6-23 rows for
 r <= 1, 76 at r = 16 and about 1400 at r = 1e4, and the solution is
 ``dptsv``'s bit for bit.
 
-The LAPACK routines are taken from scipy's compiled ``linalg/_flapack``
-extension, located without importing scipy and loaded as ``spe._flapack``:
-the same Fortran routines as ``scipy.linalg.lapack``, without the package
-init of ``scipy.linalg`` (its array-API layer and every linalg submodule),
-which would dominate the start-up time and memory of ``spe.cli``.
-``_flapack`` is a private scipy name, so when it is not found the public
-module is used instead.  They are bound once, by the first ``SolverConfig``
-with eps > 0, so a viscous run pays the load while its scenario loads, not
-inside its first step; an inviscid process never loads the extension or the
-OpenBLAS behind it.
+The LAPACK routines come from the OpenBLAS that numpy mapped at import.
+numpy's wheels link scipy-openblas, which exports the reference ``dpttrf``
+and ``dpttrs`` as ``scipy_dpttrf_64_`` and ``scipy_dpttrs_64_`` (64-bit
+integers).  ``_numpy_openblas`` binds them through a ``ctypes`` handle on
+numpy's ``_multiarray_umath`` extension: a symbol lookup through that handle
+searches the extension's dependency tree, so no library is mapped again.
+Fortran takes every argument by address, and each ``Workspace`` keeps its
+argument lists, put together on first use, so a call converts nothing.  A
+process should map one OpenBLAS only: scipy's ``_flapack`` maps a second one
+(``scipy.libs/libscipy_openblas-*.so`` with its own libgfortran) for two
+routines numpy's already exports.  On a 2-core Xeon, binding numpy's took
+the peak resident memory of ``import spe.cli`` plus loading ``s1`` from 33.2
+to 30.8 MB and the load from 4.7 to 1.2 ms (medians of 5 runs each).
+
+Where numpy exports no such symbols (numpy built on MKL, Accelerate or a
+system BLAS, or on Windows), the routines are taken from scipy's compiled
+``linalg/_flapack`` extension, located without importing scipy and loaded as
+``spe._flapack``: the same Fortran routines as ``scipy.linalg.lapack``,
+without the package init of ``scipy.linalg`` (its array-API layer and every
+linalg submodule), which would dominate the start-up time and memory of
+``spe.cli``.  ``_flapack`` is a private scipy name, so when it is not found
+the public module is used instead.  The routines are bound once, by the
+first ``SolverConfig`` with eps > 0, so a viscous run pays the binding while
+its scenario loads, not inside its first step; an inviscid process never
+binds them or loads scipy's extension.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
 import math
 import os
+import sys
 import warnings
 from dataclasses import InitVar, dataclass, field
 
@@ -99,14 +116,111 @@ def _load_flapack(search_path: list[str]):
     return module
 
 
+def _lapack_address(a: np.ndarray, length: int) -> int:
+    """The address of ``a``, through which LAPACK reads and writes
+    ``length`` float64; ``ValueError`` unless ``a`` is ``length`` contiguous
+    float64 (f2py would solve into a copy, and a pointer past it would
+    write elsewhere)."""
+    if a.dtype != np.float64 or not a.flags.c_contiguous or a.shape != (length,):
+        raise ValueError(f"LAPACK needs {length} contiguous float64, "
+                         f"not a {a.dtype} array of shape {a.shape}")
+    return a.ctypes.data
+
+
+class _OpenBLAS:
+    """``dpttrf``/``dpttrs`` of the OpenBLAS that numpy mapped, with 64-bit
+    integers.  Fortran takes every argument by address; a Workspace's are
+    put together once per right-hand side array (``_arguments``) and kept
+    in its ``lapack_args``, so a call converts nothing."""
+
+    def __init__(self, library: ctypes.CDLL):
+        self._dpttrf, self._dpttrs = library.scipy_dpttrf_64_, library.scipy_dpttrs_64_
+        self._dpttrf.argtypes = (ctypes.c_void_p,) * 4
+        self._dpttrs.argtypes = (ctypes.c_void_p,) * 7
+        self._dpttrf.restype = self._dpttrs.restype = None
+
+    def dpttrf(self, ws: Workspace, k: int) -> int:
+        """Factor the first ``k`` rows of ``ws.diag`` and ``ws.offdiag`` in
+        place; return dpttrf's info."""
+        ints, args, _ = ws.lapack_args.get(None) or self._arguments(ws, None)
+        if not 0 <= k <= ints[1]:
+            raise ValueError(f"cannot factor {k} rows of {ints[1]}")
+        ints[0] = k
+        self._dpttrf(*args)
+        return ints[2]
+
+    def dpttrs(self, ws: Workspace, b: np.ndarray) -> int:
+        """Solve with the factor in ``ws.diag`` and ``ws.offdiag`` in place in
+        ``b[1:-1]``; return dpttrs's info."""
+        ints, args, _ = ws.lapack_args.get(id(b)) or self._arguments(ws, b)
+        self._dpttrs(*args)
+        return ints[2]
+
+    @staticmethod
+    def _arguments(ws: Workspace, b: np.ndarray | None) -> tuple:
+        """(integers, arguments, arrays) of dpttrf on ``ws`` (``b`` None) or
+        of dpttrs solving into ``b[1:-1]``, kept in ``ws.lapack_args`` with
+        the arrays they point into, so no address outlives its array.  The
+        integers are the rows to factor or solve, the matrix's rows, info and
+        the one right-hand side."""
+        m = ws.diag.shape[0]
+        ints = (ctypes.c_int64 * 4)(m, m, 0, 1)
+        n, rows, info, one = (ctypes.c_void_p(ctypes.addressof(ints) + 8 * i)
+                              for i in range(4))
+        d = ctypes.c_void_p(_lapack_address(ws.diag, m))
+        e = ctypes.c_void_p(_lapack_address(ws.offdiag, max(m - 1, 1)))
+        if b is None:
+            args = (n, d, e, info)
+        else:
+            rhs = ctypes.c_void_p(_lapack_address(b, m + 2) + b.itemsize)
+            args = (n, one, d, e, rhs, rows, info)
+        held = ints, args, (ws.diag, ws.offdiag, b)
+        ws.lapack_args[None if b is None else id(b)] = held
+        return held
+
+
+class _Flapack:
+    """scipy's wrappers of ``dpttrf``/``dpttrs`` (``_load_flapack``) behind
+    ``_OpenBLAS``'s two calls."""
+
+    def __init__(self, module):
+        self.module = module
+
+    def dpttrf(self, ws: Workspace, k: int) -> int:
+        return self.module.dpttrf(ws.diag[:k], ws.offdiag[:max(k - 1, 1)],
+                                  overwrite_d=1, overwrite_e=1)[2]
+
+    def dpttrs(self, ws: Workspace, b: np.ndarray) -> int:
+        # b is checked to be contiguous float64, so dpttrs solves in place
+        # into b[1:-1], not into a copy
+        _lapack_address(b, ws.diag.shape[0] + 2)
+        return self.module.dpttrs(ws.diag, ws.offdiag, b[1:-1], overwrite_b=1)[1]
+
+
+def _numpy_openblas() -> _OpenBLAS | None:
+    """numpy's OpenBLAS routines, found through a handle on its
+    ``_multiarray_umath`` extension (mapped again nowhere); None when numpy
+    exports no ``scipy_dpttrf_64_``/``scipy_dpttrs_64_``."""
+    try:
+        return _OpenBLAS(ctypes.CDLL(sys.modules["numpy._core._multiarray_umath"].__file__))
+    except (KeyError, AttributeError, OSError):  # no such module, library or symbol
+        return None
+
+
 @functools.cache
-def _lapack():
-    """The installed scipy's LAPACK wrappers (``_load_flapack``), loaded on
-    the first call; raises ``ImportError`` when scipy is missing."""
-    # find_spec of a top-level package locates it without importing it
-    scipy = importlib.util.find_spec("scipy")
-    return _load_flapack([os.path.join(path, "linalg")
-                          for path in scipy.submodule_search_locations] if scipy else [])
+def _lapack() -> _OpenBLAS | _Flapack:
+    """The diffusion solve's ``dpttrf``/``dpttrs``, bound on the first call:
+    numpy's OpenBLAS (``_numpy_openblas``), else the installed scipy's
+    wrappers (``_load_flapack``); raises ``ImportError`` when neither is
+    found."""
+    binding = _numpy_openblas()
+    if binding is None:
+        # find_spec of a top-level package locates it without importing it
+        scipy = importlib.util.find_spec("scipy")
+        binding = _Flapack(_load_flapack([os.path.join(path, "linalg")
+                                          for path in scipy.submodule_search_locations]
+                                         if scipy else []))
+    return binding
 
 
 #: rows of the diffusion matrix factored before its pivots are first compared
@@ -295,10 +409,11 @@ def _upwind_divergence(
     out[1:] /= dx
 
 
-def _factor_diffusion(d: np.ndarray, e: np.ndarray, r: float) -> int:
+def _factor_diffusion(ws: Workspace, r: float) -> int:
     """Write the LAPACK ``dpttrf`` factor of the tridiagonal matrix with
-    diagonal 1 + 2r and off-diagonal -r into ``d`` (m pivots) and ``e``
-    (m - 1 multipliers, one element at least); return dpttrf's info.
+    diagonal 1 + 2r and off-diagonal -r into ``ws.diag`` (m pivots) and
+    ``ws.offdiag`` (m - 1 multipliers, one element at least); return
+    dpttrf's info.
 
     Each pivot is a fixed function of the one before, d_{i+1} = (1 + 2r) -
     (-r / d_i)(-r), so once the pivots repeat every later pivot and
@@ -320,6 +435,7 @@ def _factor_diffusion(d: np.ndarray, e: np.ndarray, r: float) -> int:
     test can vary the build, so a mutant that compares one pivot survives
     the tests on any one build.
     """
+    d, e = ws.diag, ws.offdiag
     m = d.shape[0]
     k = FACTOR_PREFIX
     dpttrf = _lapack().dpttrf
@@ -327,7 +443,7 @@ def _factor_diffusion(d: np.ndarray, e: np.ndarray, r: float) -> int:
         k = min(m, k + (m - k) % 4)
         d[:k].fill(1.0 + 2.0 * r)
         e[:k - 1].fill(-r)
-        info = dpttrf(d[:k], e[:max(k - 1, 1)], overwrite_d=1, overwrite_e=1)[2]
+        info = dpttrf(ws, k)
         if info != 0 or k == m:
             return info
         p = d[k - 1]
@@ -366,6 +482,10 @@ class Workspace:
         self.weight = np.sin(np.pi * grid.nodes / grid.length) ** 2
         self.weight[[0, -1]] = 0.0
         self.weight /= _trapz(self.weight, grid.dx)
+        # the OpenBLAS binding's argument lists for this Workspace's arrays,
+        # each put together on first use rather than at every call: an
+        # array's address alone costs about 2 us to take
+        self.lapack_args = {}
 
     def measure_gradient(self) -> tuple[float, float]:
         """(du/dx(t,0), ||du/dx||^2) of the current ``u`` (``scratch`` is
@@ -437,14 +557,12 @@ def step(
         new += u
 
         if config.eps > 0.0:
-            # (I - r D2) u = ustar on interior nodes; the Dirichlet value
-            # g_new enters the right-hand side (the right one is 0).  The
-            # slice is contiguous float64, so dpttrs solves in place into it.
+            # (I - r D2) u = ustar on interior nodes, solved in place in
+            # new[1:-1]; the Dirichlet value g_new enters the right-hand side
+            # (the right one is 0)
             r = config.eps * dt / (dx * dx)
-            rhs = new[1:-1]
-            rhs[0] += r * g_new
-            info = (_factor_diffusion(ws.diag, ws.offdiag, r)
-                    or _lapack().dpttrs(ws.diag, ws.offdiag, rhs, overwrite_b=1)[1])
+            new[1] += r * g_new
+            info = _factor_diffusion(ws, r) or _lapack().dpttrs(ws, new)
             if info != 0:
                 raise BlowUpError(t_new, f"diffusion solve failed (LAPACK info={info})")
         new[0] = g_new

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import shipped_document, subprocess_env
-from spe import cli
+from spe import cli, scheme
 from spe.cli import MAX_ENTROPY_ROWS, main
 from spe.entropy import (
     entropy_residual,
@@ -867,22 +867,29 @@ class TestErrors:
         for path in (out / "scale.json", tmp_path / "out-err" / "error.json"):
             assert stat.S_IMODE(path.stat().st_mode) == mode, path
 
-    @pytest.mark.parametrize("subcommand, scenario, code, files", [
-        ("entropy-check", "riemann", 0, ["entropy.json"]),
-        ("invariants", "s1", 2, ["error.json"]),
-    ], ids=["inviscid-runs", "viscous-exits-2"])
-    def test_without_scipy(self, tmp_path, subcommand, scenario, code, files):
-        # only the diffusion solve (eps > 0) needs scipy's LAPACK; without
-        # scipy a viscous run is a failed run, not a traceback
+    @pytest.mark.parametrize("subcommand, scenario, numpy_lapack, code, files", [
+        ("entropy-check", "riemann", "hidden", 0, ["entropy.json"]),
+        ("invariants", "s1", "hidden", 2, ["error.json"]),
+        ("invariants", "s1", "exported", 0, ["report.json"]),
+    ], ids=["inviscid-runs", "viscous-exits-2", "viscous-runs-on-numpy-openblas"])
+    def test_without_scipy(self, tmp_path, subcommand, scenario, numpy_lapack, code, files):
+        # only the diffusion solve (eps > 0) needs LAPACK, which numpy's
+        # OpenBLAS exports or scipy provides; without either, a viscous run
+        # is a failed run, not a traceback
+        if numpy_lapack == "exported" and scheme._numpy_openblas() is None:
+            pytest.skip("numpy exports no scipy_dpttrs_64_")
         script = (
             "import sys\n"
             "sys.modules['scipy'] = None\n"
+            "import spe.scheme\n"
+            "if sys.argv.pop(1) == 'hidden':\n"
+            "    spe.scheme._numpy_openblas = lambda: None\n"
             "from spe.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
         out = tmp_path / "out"
         done = subprocess.run(
-            [sys.executable, "-c", script, subcommand, "--scenario",
+            [sys.executable, "-c", script, numpy_lapack, subcommand, "--scenario",
              str(builtin_scenario_path(scenario)), "--out", str(out)],
             env=subprocess_env(), capture_output=True, text=True)
         assert done.returncode == code

@@ -11,6 +11,7 @@ from spe.errors import DataValidationError
 from spe.fields import cumulative_primitive, lp_norm, make_uniform_grid, mean
 from spe.scenarios import (
     builtin_scenario_path,
+    load_scenario,
     parse_scenario,
     preset_boundary,
     preset_initial,
@@ -268,14 +269,21 @@ class TestLoadScenario:
         ("boundary", b"t,g\n0,abc\n", "could not convert string 'abc'"),
         ("boundary", b"t,g\n0,0\n1,\xff\n", "can't decode byte 0xff"),
         ("initial", b"x,u\xff\n0,0\n", "can't decode byte 0xff"),
-    ], ids=["boundary-not-a-number", "boundary-not-utf-8", "field-header-not-utf-8"])
+        # the scenario file itself
+        ("scenario", b'{"name": ', "Expecting value: line 1 column 10 (char 9)"),
+        ("scenario", b'{"name": "\xff"}', "can't decode byte 0xff"),
+    ], ids=["boundary-not-a-number", "boundary-not-utf-8", "field-header-not-utf-8",
+            "scenario-not-json", "scenario-not-utf-8"])
     def test_unparsable_data_file_is_named(self, s1_doc, tmp_path, block, data, why):
         # with two data files, the message must say which one is bad
         data_file = tmp_path / "data.csv"
         data_file.write_bytes(data)
-        kind = {"initial": "field", "boundary": "boundary"}[block]
+        kind = {"initial": "field", "boundary": "boundary", "scenario": "scenario"}[block]
         with pytest.raises(DataValidationError) as excinfo:
-            parse_scenario({**s1_doc, block: {"file": str(data_file)}})
+            if block == "scenario":
+                load_scenario(data_file)
+            else:
+                parse_scenario({**s1_doc, block: {"file": str(data_file)}})
         [violation] = excinfo.value.violations
         assert violation.startswith(f"{data_file}: {kind} file cannot be parsed: ")
         assert why in violation

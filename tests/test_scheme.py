@@ -5,6 +5,7 @@ The single-step tests compare against hand-rolled loop-based reference
 implementations that share nothing with the production (vectorized) path.
 """
 
+import functools
 import json
 import math
 import subprocess
@@ -582,7 +583,7 @@ class TestBlowUpAtSource:
         grid = self.grid()
         config = SolverConfig(eps=1e-2, grid=grid, final_time=1.0)
         ws = make_workspace(grid, np.sin(grid.nodes), t=0.25)
-        monkeypatch.setattr(scheme, "_factor_diffusion", lambda d, e, r: 2)
+        monkeypatch.setattr(scheme, "_factor_diffusion", lambda ws, r: 2)
         message = r"diffusion solve failed \(LAPACK info=2\)"
         with pytest.raises(BlowUpError, match=message) as excinfo:
             step(ws, config, BoundaryData.zero(), dt=0.125)
@@ -604,14 +605,16 @@ class TestBlowUpAtSource:
 
 
 def _kernel_solve(b, r):
-    """The IMEX stage's solve of (1 + 2r, -r) x = b, as ``step`` makes it:
-    ``_factor_diffusion``, then ``dpttrs`` in place.  Returns (x, info)."""
+    """The IMEX stage's solve of (1 + 2r, -r) x = b, as ``step`` makes it in
+    a Workspace of len(b) interior nodes: ``_factor_diffusion``, then
+    ``dpttrs`` in place.  Returns (x, info)."""
     m = b.shape[0]
-    d, e, x = np.empty(m), np.empty(max(m - 1, 1)), b.copy()
-    info = scheme._factor_diffusion(d, e, r)
+    ws = make_workspace(make_uniform_grid(1.0, m + 1), np.zeros(m + 2))
+    ws.spare[1:-1] = b
+    info = scheme._factor_diffusion(ws, r)
     if info == 0:
-        info = scheme._lapack().dpttrs(d, e, x, overwrite_b=1)[1]
-    return x, info
+        info = scheme._lapack().dpttrs(ws, ws.spare)
+    return ws.spare[1:-1].copy(), info
 
 
 def _public_dptsv(b, r):
@@ -629,10 +632,41 @@ def _same_bits(ours, theirs):
     assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
 
 
+def _without_numpy_lapack(monkeypatch):
+    """Make numpy's extension a library that exports no LAPACK symbol, as
+    on a numpy built without OpenBLAS."""
+    monkeypatch.setattr(scheme.ctypes, "CDLL", lambda path: types.SimpleNamespace())
+
+
+@functools.cache
+def _fallback():
+    """What ``_lapack()`` binds where numpy exports no LAPACK symbols."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _without_numpy_lapack(monkeypatch)
+        return scheme._lapack.__wrapped__()
+
+
+@pytest.fixture
+def binding(request, monkeypatch):
+    """``_lapack()`` replaced by one binding: ``"numpy"``'s OpenBLAS, skipped
+    where numpy exports no such symbols, or the ``"flapack"`` fallback."""
+    chosen = scheme._numpy_openblas() if request.param == "numpy" else _fallback()
+    if chosen is None:
+        pytest.skip("numpy exports no scipy_dpttrs_64_")
+    monkeypatch.setattr(scheme, "_lapack", lambda: chosen)
+    return chosen
+
+
+#: sizes for every residue of m mod 4 (dpttrf's unrolling), shorter and
+#: longer than the first prefix, and the kernel's sizes at n = 2000 and 4000
+SOLVE_SIZES = [*range(1, 41), 1999, 2000, 2001, 3998, 3999, 4000, 4001]
+
+
 class TestDptsv:
-    """The IMEX stage's diffusion solve: LAPACK loaded without the package
-    init of scipy.linalg, and only for eps > 0, and a prefix factorization
-    that gives ``scipy.linalg.lapack.dptsv``'s solution bit for bit."""
+    """The IMEX stage's diffusion solve: numpy's OpenBLAS, or LAPACK loaded
+    without the package init of scipy.linalg, bound only for eps > 0, and a
+    prefix factorization that gives ``scipy.linalg.lapack.dptsv``'s solution
+    bit for bit on either binding."""
 
     def test_import_leaves_scipy_linalg_unloaded(self):
         # a silent fall back to the public import would load scipy.linalg
@@ -650,11 +684,13 @@ class TestDptsv:
 
     def test_lapack_loaded_only_for_viscous_config(self, tmp_path):
         # entropy-check on riemann (eps = 0) never maps the extension; s1
-        # (eps > 0) binds it while its scenario loads, before any run
+        # (eps > 0) binds LAPACK while its scenario loads, before any run,
+        # and only the fallback loads scipy's extension
         code = (
             "import json, sys\n"
             "import spe.cli\n"
             "from spe.scenarios import builtin_scenario_path, load_scenario\n"
+            "from spe.scheme import _lapack\n"
             "def lapack():\n"
             "    return sorted(m for m in sys.modules if m == 'spe._flapack'"
             " or m.startswith('scipy.linalg'))\n"
@@ -662,25 +698,53 @@ class TestDptsv:
             " str(builtin_scenario_path('riemann')), '--out', sys.argv[1]])\n"
             "inviscid = lapack()\n"
             "load_scenario(builtin_scenario_path('s1'))\n"
-            "print(json.dumps([rc, inviscid, lapack()]))\n"
+            "bound = _lapack.cache_info().currsize\n"
+            "print(json.dumps([rc, inviscid, lapack(), bound, type(_lapack()).__name__]))\n"
         )
         out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
                              env=subprocess_env(), capture_output=True, text=True,
                              check=True)
-        assert json.loads(out.stdout) == [0, [], ["spe._flapack"]]
+        *loaded, chosen = json.loads(out.stdout)
+        assert chosen in ("_OpenBLAS", "_Flapack")
+        assert loaded == [0, [], ["spe._flapack"] if chosen == "_Flapack" else [], 1]
 
-    # every residue of m mod 4 (dpttrf's unrolling), shorter and longer than
-    # the first prefix, and the kernel's sizes at n = 2000 and 4000
-    @pytest.mark.parametrize(
-        "n", [*range(1, 41), 1999, 2000, 2001, 3998, 3999, 4000, 4001])
-    def test_same_routine_as_scipy_linalg(self, n):
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_viscous_run_maps_one_openblas(self):
+        # numpy's OpenBLAS solves the diffusion: a viscous run loads no scipy
+        # module and maps no file of scipy.libs (scipy's own OpenBLAS)
+        if scheme._numpy_openblas() is None:
+            pytest.skip("numpy exports no scipy_dpttrs_64_")
+        code = (
+            "import json, sys\n"
+            "from spe.scenarios import builtin_scenario_path, load_scenario\n"
+            "from spe.scheme import run\n"
+            "spec = load_scenario(builtin_scenario_path('s1'))\n"
+            "traj = run(spec.initial, spec.boundary, spec.config)\n"
+            "with open('/proc/self/maps') as maps:\n"
+            "    mapped = sorted({line.split()[-1] for line in maps if 'scipy.libs' in line})\n"
+            "print(json.dumps([traj.final.t, mapped, sorted(m for m in sys.modules"
+            " if m in ('scipy', 'spe._flapack') or m.startswith('scipy.'))]))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                             capture_output=True, text=True, check=True)
+        final_time, mapped, modules = json.loads(out.stdout)
+        assert final_time > 0.0
+        assert (mapped, modules) == ([], [])
+
+    # ids: n on numpy's OpenBLAS, flapack-n on the fallback
+    @pytest.mark.parametrize("binding, n", [
+        pytest.param(name, n, id=f"{prefix}{n}")
+        for name, prefix in (("numpy", ""), ("flapack", "flapack-")) for n in SOLVE_SIZES
+    ], indirect=["binding"])
+    def test_same_routine_as_scipy_linalg(self, binding, n):
         rng = np.random.default_rng(n)
         # r = 1e6 never settles within 4001 rows: the full factorization
         for r in [0.0, *np.geomspace(1e-3, 1e6, 12)]:
             b = rng.standard_normal(n)
             _same_bits(_kernel_solve(b, r), _public_dptsv(b, r))
 
-    def test_same_info_on_indefinite_system(self):
+    @pytest.mark.parametrize("binding", ["numpy", "flapack"], indirect=True)
+    def test_same_info_on_indefinite_system(self, binding):
         # r < 0 makes a pivot nonpositive within the first prefix
         for n in (3, 100, 3999):
             b = np.ones(n)
@@ -689,40 +753,74 @@ class TestDptsv:
                 assert ours[1] != 0
                 _same_bits(ours, _public_dptsv(b, r))
 
-    def _count_rows(self, monkeypatch):
+    def _count_rows(self, monkeypatch, binding):
         rows = []
 
-        def counted(d, e, **kwargs):
-            rows.append(d.shape[0])
-            return dpttrf(d, e, **kwargs)
+        def counted(ws, k):
+            rows.append(k)
+            return binding.dpttrf(ws, k)
 
-        lapack = scheme._lapack()
-        dpttrf = lapack.dpttrf
         monkeypatch.setattr(scheme, "_lapack", lambda: types.SimpleNamespace(
-            dpttrf=counted, dpttrs=lapack.dpttrs))
+            dpttrf=counted, dpttrs=binding.dpttrs))
         return rows
 
-    def test_factors_a_short_prefix(self, monkeypatch):
+    @pytest.mark.parametrize("binding", ["numpy", "flapack"], indirect=True)
+    def test_factors_a_short_prefix(self, monkeypatch, binding):
         # r = 16 is about the largest r of the n=4000 viscosity sweep; its
         # pivots repeat after 76 rows of 3999
-        rows = self._count_rows(monkeypatch)
+        rows = self._count_rows(monkeypatch, binding)
         b = np.random.default_rng(0).standard_normal(3999)
         _same_bits(_kernel_solve(b, 16.0), _public_dptsv(b, 16.0))
         assert sum(rows) < 300
         assert all(k % 4 == 3999 % 4 for k in rows)
 
-    def test_factors_all_rows_when_pivots_never_repeat(self, monkeypatch):
-        rows = self._count_rows(monkeypatch)
+    @pytest.mark.parametrize("binding", ["numpy", "flapack"], indirect=True)
+    def test_factors_all_rows_when_pivots_never_repeat(self, monkeypatch, binding):
+        rows = self._count_rows(monkeypatch, binding)
         b = np.random.default_rng(1).standard_normal(3999)
         _same_bits(_kernel_solve(b, 1e6), _public_dptsv(b, 1e6))
         assert rows[-1] == 3999
         assert sum(rows) < 2 * 3999
 
+    @pytest.mark.parametrize("binding", ["numpy", "flapack"], indirect=True)
+    def test_rebound_array_is_checked_where_its_address_is_taken(self, binding):
+        # a rebound u becomes the spare that the next step solves into: its
+        # address is taken then, once it is n contiguous float64, and any
+        # other array is refused rather than written through (or, by f2py,
+        # copied and solved into the copy)
+        grid = make_uniform_grid(10.0, 50)
+        config = SolverConfig(eps=1e-2, grid=grid, final_time=1.0)
+        u0 = np.sin(2.0 * np.pi * grid.nodes / 10.0)
+        ours, theirs = make_workspace(grid, u0), make_workspace(grid, u0)
+        ours.u = ours.u.copy()
+        for _ in range(2):
+            for ws in (ours, theirs):
+                step(ws, config, BoundaryData.zero(), dt=0.01)
+        assert ours.u.tobytes() == theirs.u.tobytes()
+        for bad in (np.zeros(51, np.float32), np.zeros(102)[::2], np.zeros(50)):
+            with pytest.raises(ValueError, match="LAPACK needs 51 contiguous float64"):
+                binding.dpttrs(ours, bad)
+
+    def test_falls_back_where_numpy_exports_no_lapack(self, monkeypatch):
+        # _lapack() binds scipy's wrappers, which solve to numpy's bytes
+        numpy_binding = scheme._numpy_openblas()
+        _without_numpy_lapack(monkeypatch)
+        monkeypatch.setattr(scheme, "_lapack", functools.cache(scheme._lapack.__wrapped__))
+        assert isinstance(scheme._lapack(), scheme._Flapack)
+        b, rs = np.random.default_rng(2).standard_normal(3999), (1e-3, 16.0, 1e6)
+        solved = [_kernel_solve(b, r) for r in rs]
+        for r, ours in zip(rs, solved):
+            _same_bits(ours, _public_dptsv(b, r))
+        if numpy_binding is not None:
+            monkeypatch.setattr(scheme, "_lapack", lambda: numpy_binding)
+            for r, ours in zip(rs, solved):
+                _same_bits(ours, _kernel_solve(b, r))
+
     def test_falls_back_to_public_import(self, tmp_path):
         loaded = scheme._load_flapack([str(tmp_path)])
         assert loaded is lapack
         d, e = np.full(5, 3.0), np.full(4, -1.0)
-        ours = scheme._lapack().dpttrf(d.copy(), e.copy())
+        ours = _fallback().module.dpttrf(d.copy(), e.copy())
         theirs = loaded.dpttrf(d.copy(), e.copy())
         for a, b in zip(ours, theirs):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()

@@ -43,11 +43,11 @@ MUTANTS = [
      "if d[k - 5] == p and d[k - 4] == p and d[k - 3] == p and d[k - 2] == p:",
      "if d[k - 2] == p:",
      ["tests/test_scheme.py::TestDptsv"]),
-    # an inviscid process would map scipy's LAPACK and its OpenBLAS
-    ("lapack-bound-at-import", SCHEME,
-     "\n\n#: rows of the diffusion matrix factored",
-     "\n\n_lapack()\n#: rows of the diffusion matrix factored",
-     ["tests/test_scheme.py::TestDptsv::test_lapack_loaded_only_for_viscous_config"]),
+    # a viscous run maps scipy's OpenBLAS beside numpy's, which exports the
+    # same routines
+    ("numpy-lapack-skipped", SCHEME,
+     "    binding = _numpy_openblas()\n", "    binding = None\n",
+     ["tests/test_scheme.py::TestDptsv::test_viscous_run_maps_one_openblas"]),
     # the projection moves u(L) off 0 by about 3e-33 times the mass
     ("weight-ends-not-zeroed", SCHEME,
      "        self.weight[[0, -1]] = 0.0\n", "",
