@@ -3,7 +3,7 @@
 Subcommands
 -----------
 solve           integrate a scenario and write snapshot/boundary CSV files
-invariants      run the five estimate checks and write a report
+invariants      run the five estimate checks of the sourced problem
 entropy-check   evaluate the entropy inequality over a (c, bump) grid
 stability       paired-run L1 stability comparison
 sweep           vanishing-viscosity Cauchy study
@@ -155,6 +155,9 @@ def _invariant_records(traj: Trajectory) -> tuple:
 
 
 def _cmd_invariants(spec: ScenarioSpec, out: Path, args) -> tuple:
+    if not spec.config.include_source:  # the estimates are the sourced problem's
+        raise DataValidationError([f"invariants checks the sourced problem, but scenario "
+                                   f"{spec.name!r} sets 'source_enabled': false"])
     records = _invariant_records(_run_scenario(spec))
     return [r.as_dict() for r in records], all(r.verdict == "pass" for r in records)
 
@@ -385,11 +388,6 @@ def main(argv=None) -> int:
         # no earlier command's file is left to be read as this one's
         _remove_outputs(out, inputs)
         spec = load_scenario(args.scenario)
-        if not spec.conforming and args.subcommand != "entropy-check":
-            raise DataValidationError(
-                [f"non-conforming scenario {spec.name!r} is usable only with "
-                 f"the entropy-check subcommand"]
-            )
         # the one place the flag is applied, so it means the same for every
         # subcommand; ``run`` only warns about a mismatch let through
         if args.strict_compat:

@@ -3,10 +3,10 @@
 A scenario bundles the grid, solver configuration, initial datum, and
 boundary datum.  Loading validates every admissibility requirement and
 reports all violations at once: zero trapezoidal mean of the initial datum
-(``zero_mean_violation``), finite L1 norm and square-integrable primitive.
-``Field`` itself rejects non-finite samples and ``BoundaryData`` a
-non-finite sup bound.  Only ``riemann-test`` data with consent and the
-source off loads despite them, so every scenario that loads passes ``run``.
+when the source is on (``zero_mean_violation``), finite L1 norm and
+square-integrable primitive.  ``Field`` itself rejects non-finite samples
+and ``BoundaryData`` a non-finite sup bound, so every scenario that loads
+passes ``run``.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ def preset_initial(preset: str, params: dict, grid: Grid) -> Field:
     sine-packet: a*sin(2*pi*m*(x-x0)/w) on [x0, x0+w], re-projected to exact
     zero mean inside its own support window.
 
-    riemann-test: step data for shock validation; it breaks the zero-mean
-    requirement, so it runs source-free and only in the entropy subcommand.
+    riemann-test: step data for shock validation; its mean is not zero, so
+    it runs only source-free.
 
     A datum whose L1 norm overflows (an amplitude near the float range) is
     a ValueError that names the parameters.
@@ -158,15 +158,14 @@ class ScenarioSpec:
     initial: Field
     boundary: BoundaryData
     physical: tuple | None
-    conforming: bool
 
     @property
     def grid(self) -> Grid:
         return self.config.grid
 
 
-def _validate_admissibility(u0: Field) -> list:
-    violations = [v for v in [zero_mean_violation(u0)] if v]
+def _validate_admissibility(u0: Field, config: SolverConfig) -> list:
+    violations = [v for v in [zero_mean_violation(u0, config)] if v]
     # data near the float range overflows this sum: the L1 check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         l1 = lp_norm(u0, 1)
@@ -215,7 +214,8 @@ _KINDS = {
 _DATUM = {"preset": (False, "string"), "file": (False, "path"),
           "params": (False, "parameters")}
 #: every key of a scenario document, block by block ("" is the top level):
-#: whether it is required, and the kind of its value
+#: whether it is required, and the kind of its value; 'allow_nonconforming'
+#: is read by older files and ignored, as 'source_enabled' decides the data
 _SCHEMA = {
     "": {"name": (True, "any"), "grid": (True, "object"), "time": (True, "object"),
          "epsilon": (True, "number"), "scheme": (False, "string"),
@@ -313,15 +313,7 @@ def parse_scenario(doc: dict, *, source: str = "<memory>") -> ScenarioSpec:
     if doc.get("physical") is not None:
         physical = (float(doc["physical"]["k"]), float(doc["physical"]["c2"]))
 
-    violations = _validate_admissibility(u0)
-    conforming = not violations
-    if (violations and doc.get("allow_nonconforming", False)
-            and initial_doc.get("preset") == "riemann-test"):
-        # consent holds for the source-free law only: the sourced problem
-        # projects each time step to zero mean, so it would run other data
-        violations = ([*violations, "non-conforming data runs only source-free: "
-                       "'allow_nonconforming' needs 'source_enabled': false"]
-                      if config.include_source else [])
+    violations = _validate_admissibility(u0, config)
     if violations:
         raise DataValidationError([f"scenario {source}: {v}" for v in violations])
 
@@ -331,7 +323,6 @@ def parse_scenario(doc: dict, *, source: str = "<memory>") -> ScenarioSpec:
         initial=u0,
         boundary=g,
         physical=physical,
-        conforming=conforming,
     )
 
 

@@ -357,16 +357,19 @@ def _one_sided_gradient(values: np.ndarray, dx: float) -> float:
     return float((-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dx))
 
 
-def zero_mean_violation(u0: Field) -> str | None:
+def zero_mean_violation(u0: Field, config: SolverConfig) -> str | None:
     """What is wrong when the initial datum ``u0`` breaks the sourced
     problem's rule |trapezoidal mean| <= 1e-10 ||u0||_L1; None when it
-    keeps it."""
+    keeps it or ``config`` switches the source off."""
+    if not config.include_source:
+        return None
     # data near the float range overflows the sums; a scenario reports its L1
     with np.errstate(over="ignore", invalid="ignore"):
         m, allowed = mean(u0), 1e-10 * max(lp_norm(u0, 1), 1e-300)
     if abs(m) > allowed:
         return (f"nonzero mean violates the zero-mean requirement int u0 dx = 0 of "
-                f"the sourced problem: mean = {m:.3e}, allowed {allowed:.3e}")
+                f"the sourced problem: mean = {m:.3e}, allowed {allowed:.3e}; only the "
+                f"source-free law ('source_enabled': false) takes any mean")
     return None
 
 
@@ -591,11 +594,10 @@ def step(
 def run(u0: Field, g: BoundaryData, config: SolverConfig) -> Trajectory:
     """Integrate from u0 to final_time, recording snapshots and each level's row.
 
-    Admissibility: with the source on (``config.include_source``), the
-    initial datum must be zero-mean (``zero_mean_violation``); the
-    source-free law takes any mean.  A mismatch (``compat_mismatch``) is
-    surfaced as a warning; the command line's ``--strict-compat`` rejects it
-    before ``run`` is called.
+    Admissibility: the initial datum must keep ``zero_mean_violation``'s
+    rule, which only the sourced problem has.  A mismatch
+    (``compat_mismatch``) is surfaced as a warning; the command line's
+    ``--strict-compat`` rejects it before ``run`` is called.
 
     Steps are shortened to land exactly on each time of the schedule
     ``config.snapshot_times`` (which ``SolverConfig`` keeps sorted, without
@@ -605,7 +607,7 @@ def run(u0: Field, g: BoundaryData, config: SolverConfig) -> Trajectory:
     """
     if u0.grid != config.grid:
         raise DataValidationError(["initial datum lives on a different grid"])
-    violation = config.include_source and zero_mean_violation(u0)
+    violation = zero_mean_violation(u0, config)
     if violation:
         raise DataValidationError([violation])
     g0 = g(0.0)

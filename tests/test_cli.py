@@ -168,16 +168,6 @@ class TestSolve:
         assert read_json(out / "run.json")["snapshot_times"] == [0.0, 0.1, 0.2]
         assert (out / "snapshot_notes.csv").read_text() == "mine\n"
 
-    def test_nonconforming_rejected_outside_entropy(self, tmp_path):
-        out = tmp_path / "out"
-        code = main([
-            "solve", "--scenario", str(builtin_scenario_path("riemann")),
-            "--out", str(out),
-        ])
-        assert code == 2
-        err = read_json(out / "error.json")
-        assert "entropy-check" in err["message"]
-
 
 def tree(directory):
     """Every file in ``directory`` by name, with its bytes."""
@@ -199,7 +189,8 @@ class TestOutputTree:
 
         assert solve(builtin_scenario_path("s1"), out) == 0
         assert len(tree(out)) == 13
-        assert solve(builtin_scenario_path("riemann"), out) == 2
+        assert main(["invariants", "--scenario", str(builtin_scenario_path("riemann")),
+                     "--out", str(out)]) == 2
         assert list(tree(out)) == ["error.json"]
         assert solve(short, out) == 0
         assert solve(short, fresh) == 0
@@ -697,6 +688,43 @@ class TestSweep:
         assert "at least three" in read_json(out / "error.json")["message"]
 
 
+class TestSourceSwitch:
+    """``source_enabled`` decides which data a scenario takes and which
+    checks run on it: the source-free law takes any mean and every command
+    but ``invariants``, whose estimates are the sourced problem's."""
+
+    @pytest.mark.parametrize("subcommand", ["solve", "stability", "sweep"])
+    def test_source_free_riemann_runs(self, tmp_path, subcommand):
+        out = tmp_path / "out"
+        assert main([subcommand, "--scenario", str(builtin_scenario_path("riemann")),
+                     "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("name", ["riemann", "s1"])
+    def test_invariants_refuses_source_free(self, tmp_path, name):
+        scenario = tmp_path / f"{name}.json"
+        scenario.write_text(json.dumps({**shipped_document(name), "source_enabled": False}))
+        out = tmp_path / "out"
+        assert main(["invariants", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+        err = read_json(out / "error.json")
+        assert err["error"] == "DataValidationError"
+        assert "'source_enabled': false" in err["violations"][-1]
+
+    def test_nonzero_mean_file_datum_passes_entropy_check(self, tmp_path):
+        # a step read from a file, not the riemann-test preset
+        nodes = np.linspace(0.0, 10.0, 129)
+        field_file = tmp_path / "step.csv"
+        field_file.write_text("x,u\n" + "\n".join(
+            f"{x!r},{1.0 if x < 0.5 else 0.0}" for x in nodes.tolist()))
+        scenario = tiny_scenario(
+            tmp_path, epsilon=0.0, source_enabled=False, initial={"file": str(field_file)},
+            boundary={"preset": "constant", "params": {"a": 1.0}})
+        assert load_scenario(scenario).initial.values.sum() == 7.0
+        out = tmp_path / "out"
+        assert main(["entropy-check", "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["entropy.json"]
+
+
 class TestStrictCompat:
     """``--strict-compat`` turns the mismatch u0(0) != g(0) into bad input
     for every subcommand, before anything is solved."""
@@ -820,8 +848,8 @@ class TestErrors:
         ([{"name": "tiny"}], 1),                             # top-level array
         ({"name": "tiny", "grid": {"n": 128}, "time": {"T": 0.2}, "epsilon": 0.01,
           "initial": {"preset": "bump-derivative"}, "boundary": {"preset": "zero"}}, 1),
-        # a string "false" is truthy: it must neither leave the source on nor
-        # consent to non-conforming data
+        # a string "false" is truthy: it must not leave the source on, and
+        # even a flag that has no effect is checked
         ({"name": "tiny", "grid": {"L": 10.0, "n": 128}, "time": {"T": 0.2},
           "epsilon": 0.01, "source_enabled": "false", "allow_nonconforming": "false",
           "initial": {"preset": "bump-derivative"}, "boundary": {"preset": "zero"}}, 2),
@@ -858,7 +886,7 @@ class TestErrors:
             "os.umask(int(sys.argv[1]))\n"
             "from spe.cli import main\n"
             "main(['scale', '--scenario', sys.argv[2], '--out', sys.argv[4]])\n"
-            "main(['solve', '--scenario', sys.argv[3], '--out', sys.argv[4] + '-err'])\n"
+            "main(['invariants', '--scenario', sys.argv[3], '--out', sys.argv[4] + '-err'])\n"
         )
         out = tmp_path / "out"
         subprocess.run([sys.executable, "-c", code, str(umask),
@@ -1114,7 +1142,7 @@ class TestErrors:
         # error.json describes the last command into --out, not an earlier one
         out = tmp_path / "out"
         riemann = str(builtin_scenario_path("riemann"))
-        assert main(["solve", "--scenario", riemann, "--out", str(out)]) == 2
+        assert main(["invariants", "--scenario", riemann, "--out", str(out)]) == 2
         assert read_json(out / "error.json")["error"] == "DataValidationError"
         assert main(["solve", "--scenario", str(tiny_scenario(tmp_path)),
                      "--out", str(out)]) == 0
@@ -1180,7 +1208,7 @@ def scenario_docs(draw, values, max_edits):
         "physical": {"k": 1.0, "c2": 1.0},
     }
     if riemann:
-        doc.update(source_enabled=False, allow_nonconforming=True)
+        doc.update(source_enabled=False)
     edits = draw(st.lists(
         st.tuples(st.sampled_from(SCENARIO_PATHS), st.just(DELETE) | values),
         min_size=1, max_size=max_edits))

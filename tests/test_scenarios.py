@@ -98,7 +98,6 @@ class TestLoadScenario:
         assert s1_spec.grid.cell_count == 2000
         assert s1_spec.config.eps == 0.01
         assert "scheme" not in s1_doc  # the viscosity decides it
-        assert s1_spec.conforming
 
     def test_round_trip(self, s1_spec, s1_doc):
         again = parse_scenario(s1_doc)
@@ -106,23 +105,18 @@ class TestLoadScenario:
         assert again.config == s1_spec.config
         assert np.array_equal(again.initial.values, s1_spec.initial.values)
 
-    def test_riemann_flagged_nonconforming(self, riemann_spec):
-        assert not riemann_spec.conforming
-        assert riemann_spec.config.include_source is False
-
-    @pytest.mark.parametrize("source", [{}, {"source_enabled": True}],
-                             ids=["source-omitted", "source-true"])
-    def test_consent_needs_the_source_off(self, source):
-        # the sourced problem projects each time step to zero mean, so a
-        # sourced run of the step datum would be a run of other data
-        doc = {key: value for key, value in shipped_document("riemann").items()
-               if key != "source_enabled"}
-        with pytest.raises(DataValidationError) as excinfo:
-            parse_scenario({**doc, **source})
-        violations = excinfo.value.violations
-        assert len(violations) == 2
-        assert "nonzero mean" in violations[0]
-        assert violations[1].endswith("'allow_nonconforming' needs 'source_enabled': false")
+    @pytest.mark.parametrize("name", ["s1", "riemann"])
+    def test_allow_nonconforming_is_ignored(self, name):
+        # older files carry the key; the source switch alone decides the data
+        doc = shipped_document(name)
+        plain = parse_scenario(doc)
+        spec = parse_scenario({**doc, "allow_nonconforming": True})
+        assert (spec.name, spec.config, spec.physical) == (
+            plain.name, plain.config, plain.physical)
+        assert np.array_equal(spec.initial.values, plain.initial.values)
+        assert [spec.boundary(t) for t in (0.0, 0.5, 2.0)] == [
+            plain.boundary(t) for t in (0.0, 0.5, 2.0)]
+        assert spec.boundary.sup_bound == plain.boundary.sup_bound
 
     def test_nonzero_mean_file_rejected(self, tmp_path):
         grid_doc = {"L": 1.0, "n": 8}
@@ -140,6 +134,19 @@ class TestLoadScenario:
         }
         with pytest.raises(DataValidationError, match="zero-mean"):
             parse_scenario(doc)
+
+    def test_nonzero_mean_file_loads_source_free(self, tmp_path):
+        # the source-free law is not projected, so its data may have any mean
+        nodes = np.linspace(0, 1, 9)
+        field_file = tmp_path / "ones.csv"
+        field_file.write_text("x,u\n" + "\n".join(f"{x},1.0" for x in nodes))
+        spec = parse_scenario({
+            "name": "ones", "grid": {"L": 1.0, "n": 8}, "time": {"T": 1.0},
+            "epsilon": 0.01, "source_enabled": False,
+            "initial": {"file": str(field_file)}, "boundary": {"preset": "zero"},
+        })
+        assert spec.config.include_source is False
+        assert np.array_equal(spec.initial.values, np.ones(9))
 
     def test_field_file_of_one_column_rejected(self, s1_doc, tmp_path):
         field_file = tmp_path / "u0.csv"

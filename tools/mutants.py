@@ -141,16 +141,17 @@ MUTANTS = [
     ("output-over-input-allowed", CLI,
      "        if clash:", "        if False:",
      ["tests/test_cli.py::TestOutputTree"]),
-    # a sourced riemann scenario loads with consent, and its first time
-    # step projects the datum's mass away
-    ("consent-with-the-source-on", SCENARIOS,
-     "if config.include_source else [])", "if False else [])",
-     ["tests/test_scenarios.py::TestLoadScenario::test_consent_needs_the_source_off"]),
     # the source-free law is refused data of nonzero mean
     ("zero-mean-required-source-free", SCHEME,
-     "violation = config.include_source and zero_mean_violation(u0)",
-     "violation = zero_mean_violation(u0)",
-     ["tests/test_scheme.py::TestRun::test_nonzero_mean_runs_source_free"]),
+     "    if not config.include_source:\n        return None\n", "",
+     ["tests/test_scheme.py::TestRun::test_nonzero_mean_runs_source_free",
+      "tests/test_scenarios.py::TestLoadScenario::test_nonzero_mean_file_loads_source_free"]),
+    # invariants reports the sourced problem's estimates on a run that
+    # solved the source-free law
+    ("invariants-takes-source-free", CLI,
+     "    if not spec.config.include_source:  # the estimates are the sourced problem's",
+     "    if False:",
+     ["tests/test_cli.py::TestSourceSwitch::test_invariants_refuses_source_free"]),
     # a boundary file headed g,t loads with its columns swapped
     ("header-names-unchecked", SCENARIOS,
      "        if found != names:", "        if False:",

@@ -38,6 +38,8 @@ COMMANDS = [
     ["entropy-check", "--scenario", f"{DATA}/s2.json",
      "--constants", "13", "--bumps", "5,5"],
     ["scale", "--scenario", f"{DATA}/s1.json"],
+    # the only snapshots of the explicit (eps = 0) scheme
+    ["solve", "--scenario", f"{DATA}/riemann.json"],
 ]
 
 
